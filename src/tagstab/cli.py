@@ -30,7 +30,7 @@ from .measures import (
 )
 from .powerlaw import ccdf, compare_distributions, fit_power_law
 from .stability import stability_surface
-from .streams import proportion_trajectory, snapshot
+from .streams import _checkpoints, snapshot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,10 +96,10 @@ def _cmd_proportions(args) -> int:
         final = snapshot(stream, len(stream)).counts
         top = sorted(final.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
         tags = [tag for tag, _ in top]
-        for t, proportions in proportion_trajectory(stream, args.window):
+        for t, counts, _, _ in _checkpoints(stream, args.window):
             for tag in tags:
                 out.writerow(
-                    [stream.resource_id, t, tag, _float_fmt(proportions.get(tag, 0.0))]
+                    [stream.resource_id, t, tag, _float_fmt(counts.get(tag, 0) / t)]
                 )
     return 0
 

@@ -18,14 +18,11 @@ provided:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
-from .streams import FrequencySnapshot, RankedList, TagStream, rank
+from .streams import RankedList, TagStream, _checkpoints
 
 VARIANTS = ("plain", "tie_aware", "tie_corrected")
 
@@ -61,12 +58,75 @@ class RboTrajectory:
     points: tuple[tuple[int, float], ...]
 
 
-def _prefix_sizes(rank_values, dmax: int) -> np.ndarray:
-    """prefix_sizes[d-1] = number of entries ranked at depth <= d."""
-    counts = np.zeros(dmax, dtype=float)
-    for r in rank_values:
-        counts[r - 1] += 1
-    return np.cumsum(counts)
+# _PLAIN_PREFIX[p] = (head, tail): head[n] + tail[n] is the sum over d <= n
+# of (1 - p) p^(d-1) / d, carried in two floats so that the difference of two
+# entries keeps full precision.  Grown on demand; an entry depends only on
+# (p, n), so sharing the tables between calls changes no result.
+_PLAIN_PREFIX: dict[float, tuple[list[float], list[float]]] = {}
+
+
+def _plain_prefix(p: float, depth: int) -> tuple[list[float], list[float]]:
+    head, tail = _PLAIN_PREFIX.setdefault(p, ([0.0], [0.0]))
+    for d in range(len(head), depth + 1):
+        term = (1.0 - p) * p ** (d - 1) / d
+        total = head[-1] + term
+        # Knuth's two-sum: the exact rounding error of head[-1] + term.
+        back = total - term
+        error = (head[-1] - back) + (term - (total - back))
+        head.append(total)
+        tail.append(tail[-1] + error)
+    return head, tail
+
+
+def _bump(events: dict[int, list[int]], depth: int, size: int, overlap: int) -> None:
+    event = events.get(depth)
+    if event is None:
+        events[depth] = [size, overlap]
+    else:
+        event[0] += size
+        event[1] += overlap
+
+
+def _run_sum(events: dict[int, list[int]], params: RboParams) -> float:
+    """Truncated RBO from its step events.
+
+    ``events[d] = [size, overlap]`` says that at depth d the two prefixes
+    together grow by ``size`` tags and their intersection by ``overlap``.
+    Every rank value of either list is a key, and nothing changes between
+    keys, so the sum over depths 1..max rank is taken run by run: the
+    run [a, b] adds weight(a) * agreement for ``tie_corrected``,
+    (p^(a-1) - p^b) * agreement for ``tie_aware`` and
+    overlap * sum_{d=a..b} (1 - p) p^(d-1) / d for ``plain``.
+    """
+    p = params.p
+    depths = sorted(events)
+    ends = depths[1:]
+    ends.append(depths[-1] + 1)
+    size = overlap = 0
+    total = 0.0
+    if params.variant == "plain":
+        head, tail = _plain_prefix(p, depths[-1])
+        for a, stop in zip(depths, ends):
+            overlap += events[a][1]
+            run = (head[stop - 1] - head[a - 1]) + (tail[stop - 1] - tail[a - 1])
+            total += overlap * run
+    elif params.variant == "tie_aware":
+        head = 1.0  # p^0: depth 1 is the first key of every event set
+        for a, stop in zip(depths, ends):
+            grow, join = events[a]
+            size += grow
+            overlap += join
+            tail = p ** (stop - 1)
+            total += (head - tail) * (2.0 * overlap / size)
+            head = tail
+    else:
+        q = 1.0 - p
+        for a in depths:
+            grow, join = events[a]
+            size += grow
+            overlap += join
+            total += q * p ** (a - 1) * (2.0 * overlap / size)
+    return total
 
 
 def rbo(l1: RankedList, l2: RankedList, params: RboParams | None = None) -> float:
@@ -80,27 +140,75 @@ def rbo(l1: RankedList, l2: RankedList, params: RboParams | None = None) -> floa
         params = RboParams()
     if len(l1) == 0 or len(l2) == 0:
         raise EmptyInputError("rbo requires two non-empty rankings")
-    p = params.p
-    ranks1 = {e.tag: e.rank for e in l1.entries}
-    ranks2 = {e.tag: e.rank for e in l2.entries}
-    dmax = max(l1.max_rank, l2.max_rank)
-    size1 = _prefix_sizes(ranks1.values(), dmax)
-    size2 = _prefix_sizes(ranks2.values(), dmax)
-    # A shared tag joins the prefix intersection once both lists reach it.
-    shared = [max(r, ranks2[t]) for t, r in ranks1.items() if t in ranks2]
-    inter = _prefix_sizes(shared, dmax)
+    events: dict[int, list[int]] = {}
+    ranks1 = {}
+    for tag, _, r in l1.entries:
+        ranks1[tag] = r
+        _bump(events, r, 1, 0)
+    for tag, _, r in l2.entries:
+        _bump(events, r, 1, 0)
+        r1 = ranks1.get(tag)
+        # A shared tag joins the intersection once both lists reach it.
+        if r1 is not None:
+            _bump(events, max(r, r1), 0, 1)
+    return _run_sum(events, params)
 
-    depths = np.arange(1, dmax + 1, dtype=float)
-    weights = (1.0 - p) * p ** (depths - 1.0)
-    if params.variant == "plain":
-        agreement = inter / depths
-    else:
-        agreement = 2.0 * inter / (size1 + size2)
-    if params.variant == "tie_corrected":
-        occurring = sorted(set(ranks1.values()) | set(ranks2.values()))
-        idx = np.asarray(occurring, dtype=int) - 1
-        return float(np.dot(weights[idx], agreement[idx]))
-    return float(np.dot(weights, agreement))
+
+def _ranks_by_count(histogram: dict[int, int]) -> dict[int, int]:
+    """Competition rank of each count: 1 + the number of tags above it."""
+    ranks = {}
+    above = 0
+    for count in sorted(histogram, reverse=True):
+        ranks[count] = above + 1
+        above += histogram[count]
+    return ranks
+
+
+def _window_events(
+    counts: dict[str, int], histogram: dict[int, int], before: dict[str, int]
+) -> dict[int, list[int]]:
+    """Step events of the RBO between the ranking at the previous checkpoint
+    and the current one, from the state ``_checkpoints`` yields.
+
+    A tag the window did not touch has one count c in both rankings and
+    reaches both prefixes at the later ranking's rank of c, which is never
+    smaller than the earlier one; so every current tag is first booked that
+    way and the touched tags are then corrected one by one.
+    """
+    earlier = dict(histogram)
+    for tag, old in before.items():
+        new = counts[tag]
+        if earlier[new] == 1:
+            del earlier[new]
+        else:
+            earlier[new] -= 1
+        if old:
+            earlier[old] = earlier.get(old, 0) + 1
+    rank_then = _ranks_by_count(earlier)
+    rank_now = _ranks_by_count(histogram)
+    # Within one ranking every count has its own rank.
+    events = {rank_then[count]: [holders, 0] for count, holders in earlier.items()}
+    for count, holders in histogram.items():
+        _bump(events, rank_now[count], holders, holders)
+    for tag, old in before.items():
+        now = rank_now[counts[tag]]
+        events[now][1] -= 1
+        if old:
+            events[max(now, rank_then[old])][1] += 1
+    return events
+
+
+def _window_rbos(stream: TagStream, window: int, params: RboParams, ts: Sequence[int]):
+    """Yield (t, RBO between the rankings at t - window and t) for each t in
+    ``ts``, ascending, from one walk of the stream; every t must be a
+    multiple of the window, at least twice it and within the stream."""
+    wanted = set(ts)
+    last = max(wanted)
+    for t, counts, histogram, before in _checkpoints(stream, window):
+        if t in wanted:
+            yield t, _run_sum(_window_events(counts, histogram, before), params)
+        if t == last:
+            return
 
 
 def weight_of_prefix(p: float, depth: int) -> float:
@@ -137,18 +245,10 @@ def rbo_trajectory(
         raise InsufficientDataError(
             f"stream of length {len(stream)} is shorter than two windows of {window}"
         )
-    counts: Counter[str] = Counter()
-    points = []
-    previous: RankedList | None = None
-    for t, assignment in enumerate(stream.assignments, start=1):
-        counts[assignment.tag] += 1
-        if t % window == 0:
-            current = rank(FrequencySnapshot(stream.resource_id, t, dict(counts)))
-            if previous is not None:
-                points.append((t, rbo(previous, current, params)))
-            previous = current
+    ts = range(2 * window, len(stream) + 1, window)
+    points = tuple(_window_rbos(stream, window, params, ts))
     return RboTrajectory(
-        stream.resource_id, window, params.p, params.variant, tuple(points)
+        stream.resource_id, window, params.p, params.variant, points
     )
 
 
@@ -181,6 +281,16 @@ def _normalized(counts: Sequence[int]) -> tuple[float, ...]:
     return tuple(c / total for c in counts)
 
 
+def _top_counts(histogram: dict[int, int], k: int) -> list[int]:
+    """The k largest counts, with multiplicity, in descending order."""
+    top: list[int] = []
+    for count in sorted(histogram, reverse=True):
+        top += [count] * histogram[count]
+        if len(top) >= k:
+            return top[:k]
+    return top
+
+
 def kl_topk_trajectory(
     stream: TagStream, window: int, top_k: int = DEFAULT_TOP_K
 ) -> tuple[tuple[int, float], ...]:
@@ -201,13 +311,10 @@ def kl_topk_trajectory(
         raise InsufficientDataError(
             f"stream of length {n} is shorter than two windows of {window}"
         )
-    counts: Counter[str] = Counter()
-    tops: dict[int, tuple[int, list[int]]] = {}
-    for t, assignment in enumerate(stream.assignments, start=1):
-        counts[assignment.tag] += 1
-        if t % window == 0:
-            ordered = sorted(counts.values(), reverse=True)
-            tops[t] = (len(ordered), ordered[:top_k])
+    tops = {
+        t: (len(counts), _top_counts(histogram, top_k))
+        for t, counts, histogram, _ in _checkpoints(stream, window)
+    }
     points = []
     for pos in sorted(tops):
         later = pos + window
@@ -238,7 +345,7 @@ def kl_random_baseline(
     ``length`` draws from a uniform vocabulary of ``vocabulary_size`` tags.
     Deterministic for a fixed seed.
     """
-    from .generators import GeneratorConfig, generate_stream
+    from .generators import GeneratorConfig, _generate_with, _prepare
 
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -249,9 +356,10 @@ def kl_random_baseline(
         seed=seed,
         vocabulary_size=vocabulary_size,
     )
+    prepared = _prepare(config)
     sums: dict[int, float] = {}
     for index in range(trials):
-        stream = generate_stream(config, index)
+        stream = _generate_with(config, index, prepared)
         for pos, value in kl_topk_trajectory(stream, window, top_k):
             sums[pos] = sums.get(pos, 0.0) + value
     return tuple((pos, sums[pos] / trials) for pos in sorted(sums))

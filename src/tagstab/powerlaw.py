@@ -96,11 +96,14 @@ def _ks_distance(tail: np.ndarray, alpha: float, xmin: float) -> float:
     values, counts = np.unique(tail, return_counts=True)
     at_least = (n - np.concatenate(([0], np.cumsum(counts)[:-1]))) / n
     norm = special.zeta(alpha, xmin)
-    deviation = np.abs(special.zeta(alpha, values) / norm - at_least)
-    gaps = values[1:] > values[:-1] + 1
-    if np.any(gaps):
-        after = special.zeta(alpha, values[:-1][gaps] + 1) / norm
-        deviation = np.concatenate((deviation, np.abs(after - at_least[1:][gaps])))
+    # A steep tail underflows zeta to 0 and makes every ratio 0/0 = NaN; the
+    # caller rejects that candidate, so the division stays quiet.
+    with np.errstate(invalid="ignore"):
+        deviation = np.abs(special.zeta(alpha, values) / norm - at_least)
+        gaps = values[1:] > values[:-1] + 1
+        if np.any(gaps):
+            after = special.zeta(alpha, values[:-1][gaps] + 1) / norm
+            deviation = np.concatenate((deviation, np.abs(after - at_least[1:][gaps])))
     return float(np.max(deviation))
 
 
@@ -110,6 +113,8 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
     For each candidate xmin keeping at least two tail observations, the
     exponent is estimated by maximum likelihood and the candidate with the
     smallest KS distance wins; ties go to the smaller xmin (longer tail).
+    A candidate whose KS distance is not finite (a tail so steep that the
+    zeta normalization underflows) is skipped.
     Deterministic and independent of sample order.
     """
     x = _as_sample(sample)
@@ -128,10 +133,14 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
         denominator = log_suffix[int(start)] - n_tail * math.log(value - 0.5)
         alpha = 1.0 + n_tail / denominator
         distance = _ks_distance(x[int(start):], alpha, float(value))
+        if not math.isfinite(distance):
+            continue
         if best is None or distance < best[2]:
             best = (alpha, float(value), distance, n_tail)
     if best is None:
-        raise InsufficientDataError("no cutoff keeps at least two observations")
+        raise InsufficientDataError(
+            "no cutoff keeps two observations with a finite KS distance"
+        )
     alpha, xmin, distance, n_tail = best
     return PowerLawFit(alpha=alpha, xmin=xmin, ks_distance=distance, n_tail=n_tail)
 

@@ -4,13 +4,12 @@ rank overlap exceeds a threshold, evaluated over a (t, k) grid."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, ParameterError
-from .measures import DEFAULT_P, DEFAULT_WINDOW, RboParams, rbo
-from .streams import FrequencySnapshot, RankedList, TagStream, rank, snapshot
+from .measures import DEFAULT_P, DEFAULT_WINDOW, RboParams, _window_rbos
+from .streams import TagStream
 
 NO_STABILITY_BELOW = 0.4
 HIGH_STABILITY_ABOVE = 0.7
@@ -62,8 +61,8 @@ def window_rbo(
         raise ParameterError(
             f"t={t} exceeds stream length {len(stream)}"
         )
-    params = RboParams(p, variant)
-    return rbo(rank(snapshot(stream, t - window)), rank(snapshot(stream, t)), params)
+    ((_, value),) = _window_rbos(stream, window, RboParams(p, variant), (t,))
+    return value
 
 
 def stabilization_fraction(
@@ -79,33 +78,7 @@ def stabilization_fraction(
     Streams shorter than t are excluded from both numerator and denominator;
     the comparison against k is strict.
     """
-    _check_checkpoint(t, window)
-    _check_threshold(k)
-    eligible = [s for s in corpus if len(s) >= t]
-    if not eligible:
-        raise InsufficientDataError(f"no stream is long enough for t={t}")
-    hits = sum(1 for s in eligible if window_rbo(s, t, p, window, variant) > k)
-    return hits / len(eligible)
-
-
-def _stream_window_rbos(
-    stream: TagStream, ts: Sequence[int], window: int, params: RboParams
-) -> dict[int, float]:
-    """Window RBO of one stream at each requested checkpoint, in one pass."""
-    usable = [t for t in ts if t <= len(stream)]
-    if not usable:
-        return {}
-    needed = {t for t in usable} | {t - window for t in usable}
-    last = max(needed)
-    ranked: dict[int, RankedList] = {}
-    counts: Counter[str] = Counter()
-    for t, assignment in enumerate(stream.assignments, start=1):
-        counts[assignment.tag] += 1
-        if t in needed:
-            ranked[t] = rank(FrequencySnapshot(stream.resource_id, t, dict(counts)))
-        if t == last:
-            break
-    return {t: rbo(ranked[t - window], ranked[t], params) for t in usable}
+    return stability_surface(corpus, (t,), (k,), p, window, variant).values[0][0]
 
 
 def stability_surface(
@@ -133,8 +106,10 @@ def stability_surface(
     corpus = tuple(corpus)
     per_t: dict[int, list[float]] = {t: [] for t in t_grid}
     for stream in corpus:
-        for t, value in _stream_window_rbos(stream, t_grid, window, params).items():
-            per_t[t].append(value)
+        usable = [t for t in t_grid if t <= len(stream)]
+        if usable:
+            for t, value in _window_rbos(stream, window, params, usable):
+                per_t[t].append(value)
     rows = []
     eligible_counts = []
     for t in t_grid:

@@ -173,6 +173,44 @@ def rank(snap: FrequencySnapshot) -> RankedList:
     return RankedList(tuple(entries))
 
 
+def _checkpoints(stream: TagStream, window: int):
+    """Walk ``stream`` once, yielding its count state after every ``window``
+    assignments.
+
+    Each item is ``(t, counts, histogram, before)``: ``counts`` maps every
+    tag of the first t assignments to its count, in order of first
+    appearance; ``histogram`` maps each count to the number of tags holding
+    it; ``before`` maps each tag touched since the previous checkpoint to its
+    count there (0 for a tag new in this window).  Under competition ranking
+    a tag's rank is 1 + the number of tags with a larger count, so
+    ``histogram`` describes the whole ranking.  The dicts are live state:
+    read them before asking for the next item and never modify them.
+    """
+    if window < 1:
+        raise ParameterError(f"window must be >= 1, got {window}")
+    counts: dict[str, int] = {}
+    histogram: dict[int, int] = {}
+    before: dict[str, int] = {}
+    for t, assignment in enumerate(stream.assignments, start=1):
+        tag = assignment.tag
+        count = counts.get(tag, 0)
+        if tag not in before:
+            before[tag] = count
+        counts[tag] = count + 1
+        if t % window == 0:
+            # Only the window's tags moved, each from its count before.
+            for moved, old in before.items():
+                if old:
+                    if histogram[old] == 1:
+                        del histogram[old]
+                    else:
+                        histogram[old] -= 1
+                new = counts[moved]
+                histogram[new] = histogram.get(new, 0) + 1
+            yield t, counts, histogram, before
+            before = {}
+
+
 def proportion_trajectory(
     stream: TagStream, window: int
 ) -> tuple[tuple[int, dict[str, float]], ...]:
@@ -186,10 +224,7 @@ def proportion_trajectory(
         raise ParameterError(f"window must be >= 1, got {window}")
     if len(stream) == 0:
         raise EmptyInputError("cannot compute proportions of an empty stream")
-    counts: Counter[str] = Counter()
-    points = []
-    for t, assignment in enumerate(stream.assignments, start=1):
-        counts[assignment.tag] += 1
-        if t % window == 0:
-            points.append((t, {tag: c / t for tag, c in counts.items()}))
-    return tuple(points)
+    return tuple(
+        (t, {tag: c / t for tag, c in counts.items()})
+        for t, counts, _, _ in _checkpoints(stream, window)
+    )

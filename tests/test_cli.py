@@ -153,6 +153,18 @@ class TestPowerlawCommands:
         assert labels[-2:] == ["mean", "std"]
         assert len(labels) == 5
 
+    @pytest.mark.parametrize("mode", ["--per-resource", "--pooled"])
+    def test_underflowing_tail_is_data_error(self, tmp_path, capsys, mode):
+        # Final counts 216 and 215: the only cutoff's KS distance is 0/0.
+        path = tmp_path / "steep.tsv"
+        tags = ["a"] * 216 + ["b"] * 215
+        rows = [f"r1\t{tag}\t{seq}" for seq, tag in enumerate(tags, start=1)]
+        path.write_text("resource_id\ttag\tseq\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code, _, stderr = run(capsys, "powerlaw", str(path), mode)
+        assert code == 2
+        assert "data error" in stderr
+        assert "Warning" not in stderr
+
     def test_ccdf_output(self, tmp_path, capsys):
         path = tmp_path / "log.tsv"
         path.write_text(

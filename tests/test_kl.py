@@ -102,6 +102,17 @@ class TestKlRandomBaseline:
         baseline = kl_random_baseline(10, 25, 50, 200, trials=1, seed=5)
         assert baseline == direct
 
+    def test_mean_over_trials_matches_generated_streams(self):
+        config = GeneratorConfig(
+            model="random_uniform", vocabulary_size=40, length=60, n_streams=4, seed=2
+        )
+        sums = {}
+        for index in range(4):
+            for n, value in kl_topk_trajectory(generate_stream(config, index), 10, 5):
+                sums[n] = sums.get(n, 0.0) + value
+        expected = tuple((n, sums[n] / 4) for n in sorted(sums))
+        assert kl_random_baseline(10, 5, 40, 60, trials=4, seed=2) == expected
+
     def test_deterministic(self):
         a = kl_random_baseline(10, 25, 100, 300, trials=5, seed=9)
         b = kl_random_baseline(10, 25, 100, 300, trials=5, seed=9)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,21 @@ class TestFitPowerLaw:
     def test_degenerate_sample(self):
         with pytest.raises(InsufficientDataError):
             fit_power_law([3] * 10)
+
+    def test_underflowing_tail_is_insufficient_data(self):
+        # Adjacent counts give alpha ~ 216, zeta(alpha, 215) underflows to 0
+        # and the only candidate's KS distance is 0/0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientDataError):
+                fit_power_law([215, 216])
+
+    def test_underflowing_candidate_is_skipped_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_power_law([1, 1, 1, 2, 2, 3, 5, 8, 215, 216])
+        assert (fit.xmin, fit.n_tail) == (1.0, 10)
+        assert fit.ks_distance == pytest.approx(0.124883, abs=1e-6)
 
     def test_empty_sample(self):
         with pytest.raises(EmptyInputError):
