@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import IngestionError
 from .generators import BackgroundDistribution, load_background
-from .streams import TagAssignment, TagStream, normalize_tag
+from .streams import TagStream, normalize_tag
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -74,6 +74,71 @@ def _header_columns(line: str, delimiter: str, required: tuple[str, ...]) -> dic
     return columns
 
 
+def _read_rows(
+    path: str | Path,
+    delimiter: str,
+    required: tuple[str, ...],
+    make_parse,
+    rejected: Counter[str],
+) -> tuple[dict[str, int], dict[str, dict[int, object]]]:
+    """Read a delimited file with a header into its columns and
+    ``{resource_id: {seq: value}}``.
+
+    ``make_parse(columns)`` returns the row parser: it maps a row's fields
+    to the value stored for it, or None to reject the row as "empty tag".
+    Rows are rejected and counted, in this order of precedence, as "blank
+    line", "field count mismatch", "empty resource_id", "empty tag",
+    "invalid seq" and "duplicate seq"; the first row wins a (resource, seq)
+    pair, and only a row accepted so far claims its seq.
+    """
+    by_resource: dict[str, dict[int, object]] = {}
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline()
+        if not header:
+            raise IngestionError("file is empty")
+        columns = _header_columns(header, delimiter, required)
+        width = len(columns)
+        resource_column = columns["resource_id"]
+        seq_column = columns["seq"]
+        parse = make_parse(columns)
+        for line in handle:
+            line = line.rstrip("\r\n")
+            if not line:
+                rejected["blank line"] += 1
+                continue
+            parts = line.split(delimiter)
+            if len(parts) != width:
+                rejected["field count mismatch"] += 1
+                continue
+            resource_id = parts[resource_column].strip()
+            if not resource_id:
+                rejected["empty resource_id"] += 1
+                continue
+            value = parse(parts)
+            if value is None:
+                rejected["empty tag"] += 1
+                continue
+            try:
+                seq = int(parts[seq_column])
+            except ValueError:
+                rejected["invalid seq"] += 1
+                continue
+            seqs = by_resource.get(resource_id)
+            if seqs is None:
+                by_resource[resource_id] = {seq: value}
+            elif seq in seqs:
+                rejected["duplicate seq"] += 1
+            else:
+                seqs[seq] = value
+    if not by_resource:
+        raise IngestionError(f"no rows accepted from {path}")
+    return columns, by_resource
+
+
+def _in_seq_order(seqs: dict[int, object]) -> list:
+    return [seqs[seq] for seq in sorted(seqs)]
+
+
 def ingest_tag_log(
     path: str | Path, delimiter: str = "\t"
 ) -> tuple[tuple[TagStream, ...], IngestionReport]:
@@ -82,59 +147,38 @@ def ingest_tag_log(
     The first matching row wins on duplicate (resource, seq) pairs; rows
     with an empty tag after normalization, a non-integer seq, or the wrong
     field count are rejected and counted.  A file yielding zero accepted
-    rows is an error.
+    rows is an error.  Each distinct tag or user id is one string object.
     """
-    rows: dict[str, list[tuple[int, str, str | None]]] = {}
-    seen: set[tuple[str, int]] = set()
-    rejected: Counter[str] = Counter()
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header:
-            raise IngestionError("file is empty")
-        columns = _header_columns(header, delimiter, ("resource_id", "tag", "seq"))
+    interned: dict[str, str] = {}
+
+    def make_parse(columns):
+        tag_column = columns["tag"]
         user_column = columns.get("user_id")
-        for line in handle:
-            line = line.rstrip("\r\n")
-            if not line:
-                rejected["blank line"] += 1
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != len(columns):
-                rejected["field count mismatch"] += 1
-                continue
-            resource_id = parts[columns["resource_id"]].strip()
-            if not resource_id:
-                rejected["empty resource_id"] += 1
-                continue
-            tag = normalize_tag(parts[columns["tag"]])
+
+        def parse(parts):
+            tag = normalize_tag(parts[tag_column])
             if not tag:
-                rejected["empty tag"] += 1
-                continue
-            try:
-                seq = int(parts[columns["seq"]])
-            except ValueError:
-                rejected["invalid seq"] += 1
-                continue
-            if (resource_id, seq) in seen:
-                rejected["duplicate seq"] += 1
-                continue
-            seen.add((resource_id, seq))
-            user = parts[user_column].strip() or None if user_column is not None else None
-            rows.setdefault(resource_id, []).append((seq, tag, user))
-    if not rows:
-        raise IngestionError(f"no rows accepted from {path}")
+                return None
+            tag = interned.setdefault(tag, tag)
+            if user_column is None:
+                return tag
+            user = parts[user_column].strip()
+            return tag, interned.setdefault(user, user) if user else None
+
+        return parse
+
+    rejected: Counter[str] = Counter()
+    columns, by_resource = _read_rows(
+        path, delimiter, ("resource_id", "tag", "seq"), make_parse, rejected
+    )
     streams = []
-    for resource_id in sorted(rows):
-        ordered = sorted(rows[resource_id])
-        streams.append(
-            TagStream(
-                resource_id,
-                tuple(
-                    TagAssignment(resource_id, tag, position, user)
-                    for position, (_, tag, user) in enumerate(ordered, start=1)
-                ),
-            )
-        )
+    for resource_id in sorted(by_resource):
+        values = _in_seq_order(by_resource[resource_id])
+        if "user_id" in columns:
+            tags, users = zip(*values)
+            streams.append(TagStream.from_tags(resource_id, tags, users))
+        else:
+            streams.append(TagStream.from_tags(resource_id, values))
     streams = tuple(streams)
     return streams, _report(streams, rejected)
 
@@ -160,42 +204,27 @@ def ingest_text_corpus(
     order.  Rows whose text yields no tokens are accepted with no effect;
     resources left without tokens produce no stream.
     """
-    drop = {normalize_tag(w) for w in stopwords} if stopwords is not None else None
-    rows: dict[str, list[tuple[int, list[str]]]] = {}
-    seen: set[tuple[str, int]] = set()
-    accepted = 0
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline()
-        if not header:
-            raise IngestionError("file is empty")
-        columns = _header_columns(header, delimiter, ("resource_id", "seq", "text"))
-        for line in handle:
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != len(columns):
-                continue
-            resource_id = parts[columns["resource_id"]].strip()
-            if not resource_id:
-                continue
-            try:
-                seq = int(parts[columns["seq"]])
-            except ValueError:
-                continue
-            if (resource_id, seq) in seen:
-                continue
-            seen.add((resource_id, seq))
-            accepted += 1
-            tokens = _TOKEN_RE.findall(parts[columns["text"]].lower())
-            if drop is not None:
-                tokens = [t for t in tokens if t not in drop]
-            rows.setdefault(resource_id, []).append((seq, tokens))
-    if accepted == 0:
-        raise IngestionError(f"no rows accepted from {path}")
+    drop = {normalize_tag(w) for w in stopwords} if stopwords is not None else set()
+    interned: dict[str, str] = {}
+
+    def make_parse(columns):
+        text_column = columns["text"]
+
+        def parse(parts):
+            return [
+                interned.setdefault(token, token)
+                for token in _TOKEN_RE.findall(parts[text_column].lower())
+                if token not in drop
+            ]
+
+        return parse
+
+    _, by_resource = _read_rows(
+        path, delimiter, ("resource_id", "seq", "text"), make_parse, Counter()
+    )
     streams = []
-    for resource_id in sorted(rows):
-        tags = [token for _, tokens in sorted(rows[resource_id]) for token in tokens]
+    for resource_id in sorted(by_resource):
+        tags = [token for tokens in _in_seq_order(by_resource[resource_id]) for token in tokens]
         if tags:
             streams.append(TagStream.from_tags(resource_id, tags))
     return tuple(streams)
@@ -231,13 +260,20 @@ def write_tag_log(
     """Serialize streams in the ingestion format with canonical row order
     (resource_id, then seq); the user_id column appears only if used."""
     streams = sorted(streams, key=lambda s: s.resource_id)
-    with_users = any(a.user_id for s in streams for a in s.assignments)
+    with_users = any(s.users is not None and any(s.users) for s in streams)
     columns = ["resource_id", "tag", "seq"] + (["user_id"] if with_users else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(delimiter.join(columns) + "\n")
         for stream in streams:
-            for a in stream.assignments:
-                row = [a.resource_id, a.tag, str(a.seq)]
-                if with_users:
-                    row.append(a.user_id or "")
-                handle.write(delimiter.join(row) + "\n")
+            prefix = stream.resource_id + delimiter
+            if with_users:
+                users = stream.users or (None,) * len(stream)
+                handle.writelines(
+                    f"{prefix}{tag}{delimiter}{seq}{delimiter}{user or ''}\n"
+                    for seq, (tag, user) in enumerate(zip(stream.tags, users), start=1)
+                )
+            else:
+                handle.writelines(
+                    f"{prefix}{tag}{delimiter}{seq}\n"
+                    for seq, tag in enumerate(stream.tags, start=1)
+                )

@@ -113,7 +113,10 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
     For each candidate xmin keeping at least two tail observations, the
     exponent is estimated by maximum likelihood and the candidate with the
     smallest KS distance wins; ties go to the smaller xmin (longer tail).
-    A candidate whose KS distance is not finite (a tail so steep that the
+    The largest distinct value is never a candidate: its tail is one
+    repeated value, whose KS distance is 0 by construction (the same rule
+    as the ``powerlaw`` package of Alstott, Bullmore & Plenz, 2014).  A
+    candidate whose KS distance is not finite (a tail so steep that the
     zeta normalization underflows) is skipped.
     Deterministic and independent of sample order.
     """
@@ -126,7 +129,7 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
     n = x.size
     log_suffix = np.cumsum(np.log(x)[::-1])[::-1]
     best: tuple[float, float, float, int] | None = None
-    for value, start in zip(values, first_index):
+    for value, start in zip(values[:-1], first_index[:-1]):
         n_tail = n - int(start)
         if n_tail < MIN_TAIL:
             continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyInputError, ParameterError
@@ -30,46 +31,87 @@ class TagAssignment:
             raise ParameterError(f"seq must be >= 1, got {self.seq}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class TagStream:
-    """Temporally ordered tag assignments for one resource.
+    """Temporally ordered tag assignments for one resource, held as columns.
 
-    Sequence numbers must be contiguous from 1 and every assignment must
-    carry the stream's resource id.
+    ``tags[i]`` and ``users[i]`` belong to the assignment with seq i + 1;
+    ``users`` is None when no assignment names a user.  Built from
+    assignments, seq values must be contiguous from 1 and every assignment
+    must carry the stream's resource id.
     """
 
     resource_id: str
-    assignments: tuple[TagAssignment, ...]
+    tags: tuple[str, ...]
+    users: tuple[str | None, ...] | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", tuple(self.assignments))
-        for position, assignment in enumerate(self.assignments, start=1):
-            if assignment.resource_id != self.resource_id:
+    def __init__(
+        self, resource_id: str, assignments: Iterable[TagAssignment]
+    ) -> None:
+        assignments = tuple(assignments)
+        for position, assignment in enumerate(assignments, start=1):
+            if assignment.resource_id != resource_id:
                 raise ParameterError(
                     f"assignment for {assignment.resource_id!r} cannot join "
-                    f"stream {self.resource_id!r}"
+                    f"stream {resource_id!r}"
                 )
             if assignment.seq != position:
                 raise ParameterError(
                     f"seq values must be contiguous from 1; position "
                     f"{position} has seq {assignment.seq}"
                 )
+        self._set(
+            resource_id,
+            tuple(a.tag for a in assignments),
+            tuple(a.user_id for a in assignments),
+        )
+
+    def _set(
+        self,
+        resource_id: str,
+        tags: tuple[str, ...],
+        users: tuple[str | None, ...] | None,
+    ) -> None:
+        # No user at all is stored as None, so equality stays by content.
+        if users is not None and users.count(None) == len(users):
+            users = None
+        object.__setattr__(self, "resource_id", resource_id)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "users", users)
 
     def __len__(self) -> int:
-        return len(self.assignments)
+        return len(self.tags)
 
     @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(a.tag for a in self.assignments)
+    def assignments(self) -> tuple[TagAssignment, ...]:
+        """The stream as ``TagAssignment`` objects, built on each access."""
+        users = self.users or (None,) * len(self.tags)
+        return tuple(
+            TagAssignment(self.resource_id, tag, seq, user)
+            for seq, (tag, user) in enumerate(zip(self.tags, users), start=1)
+        )
 
     @classmethod
-    def from_tags(cls, resource_id: str, tags: Iterable[str]) -> "TagStream":
-        """Build a stream from bare tag tokens, numbering them from 1."""
-        assignments = tuple(
-            TagAssignment(resource_id, tag, seq)
-            for seq, tag in enumerate(tags, start=1)
-        )
-        return cls(resource_id, assignments)
+    def from_tags(
+        cls,
+        resource_id: str,
+        tags: Iterable[str],
+        users: Iterable[str | None] | None = None,
+    ) -> "TagStream":
+        """Build a stream from bare tag tokens (and their users), numbering
+        them from 1."""
+        tags = tuple(tags)
+        if not all(tags):
+            raise ParameterError("tag must be non-empty")
+        if users is not None:
+            users = tuple(users)
+            if len(users) != len(tags):
+                raise ParameterError(
+                    f"{len(users)} users for {len(tags)} tags; lengths must match"
+                )
+        stream = object.__new__(cls)
+        stream._set(resource_id, tags, users)
+        return stream
 
 
 @dataclass(frozen=True)
@@ -149,7 +191,7 @@ def snapshot(stream: TagStream, n: int) -> FrequencySnapshot:
         raise ParameterError(
             f"prefix length {n} out of range for stream of length {len(stream)}"
         )
-    counts = Counter(a.tag for a in stream.assignments[:n])
+    counts = Counter(islice(stream.tags, n))
     return FrequencySnapshot(stream.resource_id, n, dict(counts))
 
 
@@ -191,8 +233,7 @@ def _checkpoints(stream: TagStream, window: int):
     counts: dict[str, int] = {}
     histogram: dict[int, int] = {}
     before: dict[str, int] = {}
-    for t, assignment in enumerate(stream.assignments, start=1):
-        tag = assignment.tag
+    for t, tag in enumerate(stream.tags, start=1):
         count = counts.get(tag, 0)
         if tag not in before:
             before[tag] = count

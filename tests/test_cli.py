@@ -165,6 +165,22 @@ class TestPowerlawCommands:
         assert "data error" in stderr
         assert "Warning" not in stderr
 
+    @pytest.mark.parametrize("mode", ["--per-resource", "--pooled"])
+    def test_tied_maximum_is_not_the_cutoff(self, tmp_path, capsys, mode):
+        # Final counts 9, 9, 5, 3, 2, 2, 1, 1, 1: the two tied maxima alone
+        # would fit with KS distance 0 and n_tail 2.
+        path = tmp_path / "tied.tsv"
+        counts = {"a": 9, "b": 9, "c": 5, "d": 3, "e": 2, "f": 2, "g": 1, "h": 1, "i": 1}
+        tags = [tag for tag, count in counts.items() for _ in range(count)]
+        rows = [f"r1\t{tag}\t{seq}" for seq, tag in enumerate(tags, start=1)]
+        path.write_text("resource_id\ttag\tseq\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "powerlaw", str(path), mode)
+        assert code == 0
+        cells = stdout.splitlines()[1].split(",")
+        assert float(cells[2]) < 9  # xmin
+        assert float(cells[3]) > 0  # ks_d
+        assert int(cells[4]) > 2  # n_tail
+
     def test_ccdf_output(self, tmp_path, capsys):
         path = tmp_path / "log.tsv"
         path.write_text(

@@ -180,6 +180,22 @@ class TestTextCorpus:
         with pytest.raises(IngestionError):
             ingest_text_corpus(corpus)
 
+    def test_bad_rows_are_skipped_and_first_seq_wins(self, tmp_path):
+        corpus = write(
+            tmp_path / "texts.tsv",
+            "resource_id\tseq\ttext\r\n"
+            "r1\t1\t...\r\n"
+            "r1\t1\tshadowed\n"
+            "\n"
+            "r1\t2\tok\textra\n"
+            " \t3\tno resource\n"
+            "r1\tx\tbad seq\n"
+            "r1\t4\tKept kept\n",
+        )
+        (stream,) = ingest_text_corpus(corpus)
+        assert stream.tags == ("kept", "kept")
+        assert stream.tags[0] is stream.tags[1]
+
 
 class TestBackgroundFile:
     def test_reads_counts(self, tmp_path):

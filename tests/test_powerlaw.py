@@ -80,6 +80,14 @@ class TestFitPowerLaw:
         assert (fit.xmin, fit.n_tail) == (1.0, 10)
         assert fit.ks_distance == pytest.approx(0.124883, abs=1e-6)
 
+    def test_largest_value_is_never_the_cutoff(self):
+        # A tail of the repeated maximum alone has KS distance 0 by
+        # construction; it must not win over the real tails.
+        fit = fit_power_law([1, 1, 1, 2, 2, 3, 5, 9, 9])
+        assert fit.xmin < 9
+        assert fit.n_tail > 2
+        assert fit.ks_distance > 0
+
     def test_empty_sample(self):
         with pytest.raises(EmptyInputError):
             fit_power_law([])
