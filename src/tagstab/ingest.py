@@ -196,13 +196,16 @@ def ingest_text_corpus(
     path: str | Path,
     stopwords: Iterable[str] | None = None,
     delimiter: str = "\t",
-) -> tuple[TagStream, ...]:
-    """Interpret the words of per-resource texts as annotation streams.
+) -> tuple[tuple[TagStream, ...], IngestionReport]:
+    """Interpret the words of per-resource texts as annotation streams,
+    plus a load report.
 
     Expects columns resource_id, seq, text; each text is tokenized and the
     tokens are appended to the resource's stream in (seq, position-in-text)
     order.  Rows whose text yields no tokens are accepted with no effect;
-    resources left without tokens produce no stream.
+    resources left without tokens produce no stream.  Malformed rows are
+    rejected and counted as in ``ingest_tag_log``, which has the one extra
+    reason "empty tag".
     """
     drop = {normalize_tag(w) for w in stopwords} if stopwords is not None else set()
     interned: dict[str, str] = {}
@@ -219,15 +222,17 @@ def ingest_text_corpus(
 
         return parse
 
+    rejected: Counter[str] = Counter()
     _, by_resource = _read_rows(
-        path, delimiter, ("resource_id", "seq", "text"), make_parse, Counter()
+        path, delimiter, ("resource_id", "seq", "text"), make_parse, rejected
     )
     streams = []
     for resource_id in sorted(by_resource):
         tags = [token for tokens in _in_seq_order(by_resource[resource_id]) for token in tokens]
         if tags:
             streams.append(TagStream.from_tags(resource_id, tags))
-    return tuple(streams)
+    streams = tuple(streams)
+    return streams, _report(streams, rejected)
 
 
 def read_background_file(path: str | Path) -> BackgroundDistribution:

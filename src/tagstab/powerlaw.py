@@ -11,6 +11,12 @@ The KS distance driving the cutoff scan is taken against the zeta-normalized
 discrete power law, which keeps the selected cutoff near the true one on
 integer data.  Likelihood ratios are evaluated on the matching continuous
 support [xmin - 0.5, infinity), identically for every candidate model.
+
+The alternatives are fitted from sufficient statistics of the tail, so an
+optimizer step costs O(1) or one vectorized pass: the truncated lognormal's
+likelihood depends on the tail only through n, sum(log x) and the sum of
+squares of log x, and the stretched exponential's scale has a closed form for
+each shape, which leaves a one-dimensional profile likelihood.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
 
@@ -83,19 +89,19 @@ def _as_sample(sample: Sequence[float]) -> np.ndarray:
     return np.sort(x)
 
 
-def _ks_distance(tail: np.ndarray, alpha: float, xmin: float) -> float:
-    """Max deviation between the tail's empirical distribution and the
+def _ks_distance(values: np.ndarray, counts: np.ndarray, alpha: float) -> float:
+    """Max deviation between a tail's empirical distribution and the
     fitted discrete power law P(X >= x) = zeta(alpha, x) / zeta(alpha, xmin).
 
-    The supremum runs over the integer support: besides every distinct
-    tail value, the integer just above each gap is checked, where the
-    empirical survival function has already stepped down but the model
-    has not yet decayed.
+    ``values`` are the tail's distinct values, ascending, so xmin is the
+    first, and ``counts`` their multiplicities.  The supremum runs over the
+    integer support: besides every distinct tail value, the integer just
+    above each gap is checked, where the empirical survival function has
+    already stepped down but the model has not yet decayed.
     """
-    n = tail.size
-    values, counts = np.unique(tail, return_counts=True)
+    n = counts.sum()
     at_least = (n - np.concatenate(([0], np.cumsum(counts)[:-1]))) / n
-    norm = special.zeta(alpha, xmin)
+    norm = special.zeta(alpha, values[0])
     # A steep tail underflows zeta to 0 and makes every ratio 0/0 = NaN; the
     # caller rejects that candidate, so the division stays quiet.
     with np.errstate(invalid="ignore"):
@@ -121,7 +127,7 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
     Deterministic and independent of sample order.
     """
     x = _as_sample(sample)
-    values, first_index = np.unique(x, return_index=True)
+    values, first_index, counts = np.unique(x, return_index=True, return_counts=True)
     if values.size < 2:
         raise InsufficientDataError(
             "power-law fit needs at least two distinct values"
@@ -129,13 +135,13 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
     n = x.size
     log_suffix = np.cumsum(np.log(x)[::-1])[::-1]
     best: tuple[float, float, float, int] | None = None
-    for value, start in zip(values[:-1], first_index[:-1]):
+    for j, (value, start) in enumerate(zip(values[:-1], first_index[:-1])):
         n_tail = n - int(start)
         if n_tail < MIN_TAIL:
             continue
         denominator = log_suffix[int(start)] - n_tail * math.log(value - 0.5)
         alpha = 1.0 + n_tail / denominator
-        distance = _ks_distance(x[int(start):], alpha, float(value))
+        distance = _ks_distance(values[j:], counts[j:], alpha)
         if not math.isfinite(distance):
             continue
         if best is None or distance < best[2]:
@@ -171,30 +177,37 @@ def _exponential_logpdf(x: np.ndarray, lower: float) -> np.ndarray:
 
 
 def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
-    log_x = np.log(x)
+    """Lognormal truncated to [lower, infinity), fitted by Nelder-Mead over
+    (mu, log sigma).
 
-    def logpdf(mu: float, sigma: float) -> np.ndarray:
-        z = (log_x - mu) / sigma
-        log_tail = stats.norm.logsf((math.log(lower) - mu) / sigma)
-        return (
-            -log_x
-            - math.log(sigma)
-            - 0.5 * math.log(2.0 * math.pi)
-            - 0.5 * z**2
-            - log_tail
-        )
+    The negative log-likelihood depends on the tail only through n,
+    S1 = sum(log x) and the centered sum of squares Q of log x:
+    S1 + n (log sigma + log(2 pi) / 2 + log Phi((mu - log lower) / sigma))
+    + (Q + n (mean(log x) - mu)^2) / (2 sigma^2), so each step costs O(1).
+    The per-observation terms are built once, at the optimum.
+    """
+    log_x = np.log(x)
+    n = x.size
+    log_lower = math.log(lower)
+    center = float(np.mean(log_x))
+    squares = float(np.sum((log_x - center) ** 2))
+    constant = float(np.sum(log_x)) + 0.5 * n * math.log(2.0 * math.pi)
 
     def negative_loglik(params: np.ndarray) -> float:
-        mu, log_sigma = params
+        mu, log_sigma = float(params[0]), float(params[1])
         try:
-            with np.errstate(all="ignore"):
-                values = logpdf(mu, math.exp(log_sigma))
-                total = float(np.sum(values))
-        except (ValueError, OverflowError):
+            sigma = math.exp(log_sigma)
+            log_tail = float(special.log_ndtr((mu - log_lower) / sigma))
+            value = (
+                constant
+                + n * (log_sigma + log_tail)
+                + (squares + n * (center - mu) ** 2) / (2.0 * sigma * sigma)
+            )
+        except (OverflowError, ZeroDivisionError):
             return math.inf
-        return -total if math.isfinite(total) else math.inf
+        return value if math.isfinite(value) else math.inf
 
-    start = np.array([float(np.mean(log_x)), math.log(float(np.std(log_x)) + 1e-3)])
+    start = np.array([center, math.log(float(np.std(log_x)) + 1e-3)])
     result = optimize.minimize(
         negative_loglik,
         start,
@@ -203,44 +216,59 @@ def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
     )
     mu, log_sigma = result.x
     with np.errstate(all="ignore"):
-        terms = logpdf(mu, math.exp(log_sigma))
+        sigma = math.exp(log_sigma)
+        terms = (
+            -log_x
+            - log_sigma
+            - 0.5 * math.log(2.0 * math.pi)
+            - 0.5 * ((log_x - mu) / sigma) ** 2
+            - special.log_ndtr((mu - log_lower) / sigma)
+        )
     return terms, bool(result.success)
 
 
 def _stretched_exponential_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
+    """Stretched exponential truncated to [lower, infinity), density
+    beta x^(beta-1) / M * exp(-(x^beta - lower^beta) / M) with M = lambda^beta,
+    fitted from its profile likelihood.
+
+    For a fixed shape beta the scale has a closed form, M(beta) =
+    mean(x^beta) - lower^beta, so the fit is a bounded search over log beta
+    alone.  With r = log(x / lower), M(beta) = lower^beta E(beta) where
+    E(beta) = mean(expm1(beta r)), which keeps its precision as beta -> 0.
+    The search runs over log beta in [-20, log(500 / max r)]: above it
+    x^beta would overflow, and the fitted density would be far narrower
+    than the tail.
+    """
     log_x = np.log(x)
+    n = x.size
+    log_lower = math.log(lower)
+    log_ratio = log_x - log_lower
+    total_ratio = float(np.sum(log_ratio))
 
-    def logpdf(shape: float, scale: float) -> np.ndarray:
-        scaled = (x / scale) ** shape
-        anchor = (lower / scale) ** shape
-        return (
-            math.log(shape)
-            - math.log(scale)
-            + (shape - 1.0) * (log_x - math.log(scale))
-            - scaled
-            + anchor
-        )
+    def negative_profile(log_shape: float) -> float:
+        # Minus the profile log-likelihood up to a constant:
+        # n (log E(beta) - log beta) - beta sum(r).
+        shape = math.exp(log_shape)
+        log_e = math.log(float(np.mean(np.expm1(shape * log_ratio))))
+        return n * (log_e - log_shape) - shape * total_ratio
 
-    def negative_loglik(params: np.ndarray) -> float:
-        log_shape, log_scale = params
-        try:
-            with np.errstate(all="ignore"):
-                values = logpdf(math.exp(log_shape), math.exp(log_scale))
-                total = float(np.sum(values))
-        except (ValueError, OverflowError):
-            return math.inf
-        return -total if math.isfinite(total) else math.inf
-
-    start = np.array([0.0, math.log(float(np.mean(x)))])
-    result = optimize.minimize(
-        negative_loglik,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 5000},
+    result = optimize.minimize_scalar(
+        negative_profile,
+        bounds=(-20.0, math.log(500.0 / float(np.max(log_ratio)))),
+        method="bounded",
+        options={"xatol": 1e-8},
     )
-    log_shape, log_scale = result.x
-    with np.errstate(all="ignore"):
-        terms = logpdf(math.exp(log_shape), math.exp(log_scale))
+    shape = math.exp(result.x)
+    scaled = np.expm1(shape * log_ratio)
+    mean_scaled = float(np.mean(scaled))
+    terms = (
+        result.x
+        - shape * log_lower
+        - math.log(mean_scaled)
+        + (shape - 1.0) * log_x
+        - scaled / mean_scaled
+    )
     return terms, bool(result.success)
 
 
@@ -263,7 +291,16 @@ def _ratio_test(power_terms: np.ndarray, other_terms: np.ndarray) -> RatioTest:
 
 def compare_distributions(sample: Sequence[float], fit: PowerLawFit) -> ModelComparison:
     """Log-likelihood ratios of the fitted power-law tail against each
-    alternative, all fitted by maximum likelihood on the same tail."""
+    alternative, all fitted by maximum likelihood on the same tail.
+
+    Boundary rule: the lognormal (sigma -> infinity with mu / sigma^2 fixed)
+    and the stretched exponential (beta -> 0) both tend to the fitted power
+    law itself, since alpha is the maximum-likelihood exponent on the same
+    support.  Their maximized likelihood is therefore never below the power
+    law's, and a converged fit whose ratio comes out positive stopped short
+    of that limit: its test reads ratio 0 and p-value 1, the two models
+    being indistinguishable.
+    """
     x = _as_sample(sample)
     tail = x[x >= fit.xmin]
     if tail.size != fit.n_tail:
@@ -280,7 +317,8 @@ def compare_distributions(sample: Sequence[float], fit: PowerLawFit) -> ModelCom
     ):
         terms, converged = fitter(tail, lower)
         if converged and bool(np.all(np.isfinite(terms))):
-            results[name] = _ratio_test(power_terms, terms)
+            test = _ratio_test(power_terms, terms)
+            results[name] = test if test.ratio <= 0.0 else RatioTest(0.0, 1.0)
         else:
             results[name] = RatioTest(math.nan, math.nan, converged=False)
 

@@ -12,6 +12,20 @@ from tagstab import (
 )
 
 
+# One row of each reject reason a text corpus can have, around a tokenless
+# row that claims seq 1 and a kept row.
+BAD_TEXT_ROWS = (
+    "resource_id\tseq\ttext\r\n"
+    "r1\t1\t...\r\n"
+    "r1\t1\tshadowed\n"
+    "\n"
+    "r1\t2\tok\textra\n"
+    " \t3\tno resource\n"
+    "r1\tx\tbad seq\n"
+    "r1\t4\tKept kept\n"
+)
+
+
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
@@ -148,7 +162,7 @@ class TestTextCorpus:
             "r1\t2\tsecond words\n"
             "r1\t1\tFirst!\n",
         )
-        streams = ingest_text_corpus(corpus)
+        streams, _ = ingest_text_corpus(corpus)
         assert streams[0].tags == ("first", "second", "words")
 
     def test_stopwords_applied(self, tmp_path):
@@ -156,7 +170,7 @@ class TestTextCorpus:
             tmp_path / "texts.tsv",
             "resource_id\tseq\ttext\nr1\t1\tthe cat sat\n",
         )
-        streams = ingest_text_corpus(corpus, stopwords={"the"})
+        streams, _ = ingest_text_corpus(corpus, stopwords={"the"})
         assert streams[0].tags == ("cat", "sat")
 
     def test_tokenless_rows_accepted_without_effect(self, tmp_path):
@@ -164,7 +178,7 @@ class TestTextCorpus:
             tmp_path / "texts.tsv",
             "resource_id\tseq\ttext\nr1\t1\t...\nr1\t2\treal words\n",
         )
-        streams = ingest_text_corpus(corpus)
+        streams, _ = ingest_text_corpus(corpus)
         assert streams[0].tags == ("real", "words")
 
     def test_resource_without_tokens_is_dropped(self, tmp_path):
@@ -172,7 +186,7 @@ class TestTextCorpus:
             tmp_path / "texts.tsv",
             "resource_id\tseq\ttext\nr1\t1\t!!\nr2\t1\tword\n",
         )
-        streams = ingest_text_corpus(corpus)
+        streams, _ = ingest_text_corpus(corpus)
         assert [s.resource_id for s in streams] == ["r2"]
 
     def test_no_accepted_rows(self, tmp_path):
@@ -181,20 +195,23 @@ class TestTextCorpus:
             ingest_text_corpus(corpus)
 
     def test_bad_rows_are_skipped_and_first_seq_wins(self, tmp_path):
-        corpus = write(
-            tmp_path / "texts.tsv",
-            "resource_id\tseq\ttext\r\n"
-            "r1\t1\t...\r\n"
-            "r1\t1\tshadowed\n"
-            "\n"
-            "r1\t2\tok\textra\n"
-            " \t3\tno resource\n"
-            "r1\tx\tbad seq\n"
-            "r1\t4\tKept kept\n",
-        )
-        (stream,) = ingest_text_corpus(corpus)
+        corpus = write(tmp_path / "texts.tsv", BAD_TEXT_ROWS)
+        (stream,), _ = ingest_text_corpus(corpus)
         assert stream.tags == ("kept", "kept")
         assert stream.tags[0] is stream.tags[1]
+
+    def test_rejected_rows_are_reported(self, tmp_path):
+        corpus = write(tmp_path / "texts.tsv", BAD_TEXT_ROWS)
+        _, report = ingest_text_corpus(corpus)
+        assert report.rows_rejected == 5
+        assert report.reject_reasons == {
+            "blank line": 1,
+            "duplicate seq": 1,
+            "empty resource_id": 1,
+            "field count mismatch": 1,
+            "invalid seq": 1,
+        }
+        assert (report.streams_loaded, report.assignments_loaded) == (1, 2)
 
 
 class TestBackgroundFile:

@@ -1,17 +1,29 @@
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from tagstab import (
     EmptyInputError,
+    GeneratorConfig,
     InsufficientDataError,
     ParameterError,
+    RatioTest,
     ccdf,
     compare_distributions,
     fit_power_law,
+    generate_corpus,
+    generate_stream,
 )
-from tagstab.powerlaw import _ks_distance
+from tagstab.powerlaw import (
+    _ks_distance,
+    _power_logpdf,
+    _ratio_test,
+    _stretched_exponential_fit,
+)
 
 
 def draw_discrete_power_law(alpha, xmin, size, rng, cap=1_000_000):
@@ -48,7 +60,28 @@ class TestFitPowerLaw:
         alpha_at_true = 1.0 + tail.size / float(
             np.sum(np.log(tail / (5 - 0.5)))
         )
-        assert oracle_fit.ks_distance <= _ks_distance(tail, alpha_at_true, 5.0) + 0.01
+        assert oracle_fit.ks_distance <= _ks_distance(
+            *np.unique(tail, return_counts=True), alpha_at_true
+        ) + 0.01
+
+    def test_scan_equals_per_tail_reference(self, oracle_sample, oracle_fit):
+        # The scan slices one np.unique of the sample; each candidate's tail,
+        # counted on its own, must give bitwise the same winner.
+        x = np.sort(np.asarray(oracle_sample, dtype=float))
+        log_suffix = np.cumsum(np.log(x)[::-1])[::-1]
+        candidates = []
+        for xmin in np.unique(x)[:-1]:
+            start = int(np.searchsorted(x, xmin))
+            tail = x[start:]
+            if tail.size < 2:
+                continue
+            alpha = 1.0 + tail.size / (log_suffix[start] - tail.size * math.log(xmin - 0.5))
+            distance = _ks_distance(*np.unique(tail, return_counts=True), alpha)
+            candidates.append((distance, xmin, tail.size))
+        distance, xmin, n_tail = min(candidates)
+        assert (oracle_fit.ks_distance, oracle_fit.xmin, oracle_fit.n_tail) == (
+            distance, xmin, n_tail
+        )
 
     def test_order_invariance(self, oracle_sample):
         shuffled = list(oracle_sample)
@@ -146,3 +179,189 @@ class TestCompareDistributions:
     def test_sample_must_match_fit(self, oracle_sample, oracle_fit):
         with pytest.raises(ParameterError):
             compare_distributions(oracle_sample + [50], oracle_fit)
+
+    def test_weibull_data_favors_stretched_exponential(self):
+        rng = np.random.default_rng(7)
+        sample = np.ceil(20 * rng.weibull(0.5, size=4000)).astype(int).tolist()
+        comparison = compare_distributions(sample, fit_power_law(sample))
+        assert comparison.stretched_exponential.converged
+        assert comparison.stretched_exponential.ratio < 0
+
+    def test_lognormal_data_favors_lognormal(self):
+        rng = np.random.default_rng(6)
+        sample = np.ceil(rng.lognormal(1.5, 0.8, size=4000)).astype(int).tolist()
+        comparison = compare_distributions(sample, fit_power_law(sample))
+        assert comparison.lognormal.converged
+        assert comparison.lognormal.ratio < 0
+
+
+# Reference fits: full-array Nelder-Mead over both parameters of each
+# alternative, as compare_distributions fitted them before it used
+# sufficient statistics and the profile likelihood.  special.log_ndtr(-z)
+# stands in for scipy.stats.norm.logsf(z), to which it is bitwise equal.
+
+
+def reference_lognormal_fit(x, lower):
+    log_x = np.log(x)
+
+    def logpdf(mu, sigma):
+        z = (log_x - mu) / sigma
+        log_tail = special.log_ndtr(-(math.log(lower) - mu) / sigma)
+        return (
+            -log_x - math.log(sigma) - 0.5 * math.log(2.0 * math.pi) - 0.5 * z**2 - log_tail
+        )
+
+    def negative_loglik(params):
+        mu, log_sigma = params
+        try:
+            with np.errstate(all="ignore"):
+                total = float(np.sum(logpdf(mu, math.exp(log_sigma))))
+        except (ValueError, OverflowError):
+            return math.inf
+        return -total if math.isfinite(total) else math.inf
+
+    start = np.array([float(np.mean(log_x)), math.log(float(np.std(log_x)) + 1e-3)])
+    result = optimize.minimize(
+        negative_loglik, start, method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 5000},
+    )
+    mu, log_sigma = result.x
+    with np.errstate(all="ignore"):
+        return logpdf(mu, math.exp(log_sigma)), bool(result.success)
+
+
+def reference_stretched_fit(x, lower):
+    log_x = np.log(x)
+
+    def logpdf(shape, scale):
+        return (
+            math.log(shape)
+            - math.log(scale)
+            + (shape - 1.0) * (log_x - math.log(scale))
+            - (x / scale) ** shape
+            + (lower / scale) ** shape
+        )
+
+    def negative_loglik(params):
+        log_shape, log_scale = params
+        try:
+            with np.errstate(all="ignore"):
+                total = float(np.sum(logpdf(math.exp(log_shape), math.exp(log_scale))))
+        except (ValueError, OverflowError):
+            return math.inf
+        return -total if math.isfinite(total) else math.inf
+
+    start = np.array([0.0, math.log(float(np.mean(x)))])
+    result = optimize.minimize(
+        negative_loglik, start, method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 5000},
+    )
+    log_shape, log_scale = result.x
+    with np.errstate(all="ignore"):
+        return logpdf(math.exp(log_shape), math.exp(log_scale)), bool(result.success)
+
+
+def corpus_counts(**config):
+    """Final tag counts of a whole generated corpus."""
+    corpus = generate_corpus(GeneratorConfig(**config))
+    return sorted(Counter(tag for stream in corpus for tag in stream.tags).values())
+
+
+def tail_of(sample, fit):
+    x = np.sort(np.asarray(sample, dtype=float))
+    return x[x >= fit.xmin], fit.xmin - 0.5
+
+
+DIFFERENTIAL_SAMPLES = {
+    "random_uniform": lambda: corpus_counts(
+        model="random_uniform", vocabulary_size=300, length=500, n_streams=6, seed=1
+    ),
+    "imitation": lambda: corpus_counts(
+        model="imitation", vocabulary_size=40, length=7, n_streams=400, seed=2
+    ),
+    "background": lambda: corpus_counts(
+        model="background", vocabulary_size=5000, zipf_exponent=1.0,
+        length=3000, n_streams=2, seed=3,
+    ),
+    "mixture": lambda: corpus_counts(
+        model="mixture", imitation_rate=0.7, vocabulary_size=100_000,
+        zipf_exponent=1.0, length=3000, n_streams=2, seed=4,
+    ),
+    "power_law": lambda: draw_discrete_power_law(2.5, 5, 300, np.random.default_rng(104)),
+    "lognormal": lambda: np.ceil(
+        np.random.default_rng(6).lognormal(1.5, 0.8, size=4000)
+    ).astype(int).tolist(),
+    "weibull": lambda: np.ceil(
+        20 * np.random.default_rng(7).weibull(0.5, size=4000)
+    ).astype(int).tolist(),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DIFFERENTIAL_SAMPLES))
+def against_reference(request):
+    """(tail size, [(fast test, reference converged, reference test)]) for
+    the lognormal and the stretched exponential on one sample."""
+    sample = DIFFERENTIAL_SAMPLES[request.param]()
+    fit = fit_power_law(sample)
+    tail, lower = tail_of(sample, fit)
+    power_terms = _power_logpdf(tail, fit.alpha, lower)
+    comparison = compare_distributions(sample, fit)
+    pairs = []
+    for fast, reference in (
+        (comparison.lognormal, reference_lognormal_fit),
+        (comparison.stretched_exponential, reference_stretched_fit),
+    ):
+        terms, converged = reference(tail, lower)
+        pairs.append((fast, converged, _ratio_test(power_terms, terms)))
+    return tail.size, pairs
+
+
+class TestAgainstReferenceFits:
+    def test_converged_matches(self, against_reference):
+        _, pairs = against_reference
+        for fast, converged, _ in pairs:
+            assert fast.converged == converged
+
+    def test_loglikelihood_never_below_reference(self, against_reference):
+        # The ratio is the power law's log-likelihood minus the
+        # alternative's, so a higher alternative likelihood is a lower ratio.
+        n, pairs = against_reference
+        for fast, _, reference in pairs:
+            assert fast.ratio <= reference.ratio + 1e-9 * n
+
+    def test_interior_optimum_matches(self, against_reference):
+        # Where both fits beat the power-law limit, both found the same
+        # interior optimum.
+        _, pairs = against_reference
+        for fast, _, reference in pairs:
+            if fast.ratio < 0 and reference.ratio < 0:
+                assert fast.ratio == pytest.approx(reference.ratio, rel=1e-4)
+                assert fast.p_value == pytest.approx(reference.p_value, rel=1e-4)
+
+
+def test_alternatives_on_the_power_law_boundary_read_ratio_zero():
+    """Stream 13 of a 100 x 3000 mixture corpus (I = 0.7, vocabulary 100k,
+    seed 42): the stretched exponential's profile likelihood rises all the
+    way to beta -> 0, and the lognormal's along sigma -> infinity, so both
+    maxima are the fitted power law itself.  The stretched search ends at
+    its lower bound just short of that limit, both reference fits stop
+    with a positive ratio, and compare_distributions reports ratio 0,
+    p-value 1, converged, for both alternatives."""
+    config = GeneratorConfig(
+        model="mixture", imitation_rate=0.7, vocabulary_size=100_000,
+        zipf_exponent=1.0, length=3000, n_streams=100, seed=42,
+    )
+    sample = sorted(Counter(generate_stream(config, 13).tags).values())
+    fit = fit_power_law(sample)
+    comparison = compare_distributions(sample, fit)
+    assert comparison.lognormal == RatioTest(0.0, 1.0, converged=True)
+    assert comparison.stretched_exponential == RatioTest(0.0, 1.0, converged=True)
+
+    tail, lower = tail_of(sample, fit)
+    power_terms = _power_logpdf(tail, fit.alpha, lower)
+    terms, converged = _stretched_exponential_fit(tail, lower)
+    gap = float(np.sum(power_terms - terms))
+    assert converged and 0.0 < gap < 1e-6
+    for reference in (reference_lognormal_fit, reference_stretched_fit):
+        terms, converged = reference(tail, lower)
+        assert converged and float(np.sum(power_terms - terms)) > 0.0
