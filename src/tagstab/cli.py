@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -63,6 +64,8 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
         raise ParameterError(
             f"grid {text!r} is not of the form start:stop:step"
         ) from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParameterError(f"grid {text!r} must have finite bounds and step")
     if step <= 0 or stop < start:
         raise ParameterError(f"grid {text!r} must ascend with a positive step")
     count = int(round((stop - start) / step))
@@ -90,6 +93,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_proportions(args) -> int:
+    if args.top < 1:
+        raise ParameterError(f"--top must be >= 1, got {args.top}")
     out = _writer()
     out.writerow(["resource_id", "t", "tag", "proportion"])
     for stream in _load_streams(args):
@@ -104,44 +109,51 @@ def _cmd_proportions(args) -> int:
     return 0
 
 
-def _skip(stream, note: str) -> None:
-    print(f"skipping {stream.resource_id}: {note}", file=sys.stderr)
+def _write_per_stream(out, streams, rows, all_skipped: str) -> None:
+    """Write ``rows(stream)`` for each stream in turn.
+
+    A stream whose rows raise a DataError is skipped with a note on stderr;
+    if every stream is skipped, DataError(all_skipped) is raised.
+    """
+    produced = 0
+    for stream in streams:
+        try:
+            stream_rows = rows(stream)
+        except DataError as exc:
+            print(f"skipping {stream.resource_id}: {exc}", file=sys.stderr)
+            continue
+        produced += 1
+        out.writerows(stream_rows)
+    if produced == 0:
+        raise DataError(all_skipped)
+
+
+def _point_rows(stream, points) -> list[list]:
+    return [[stream.resource_id, x, _float_fmt(value)] for x, value in points]
 
 
 def _cmd_rbo(args) -> int:
     params = RboParams(args.p, args.variant)
     out = _writer()
     out.writerow(["resource_id", "t", "rbo"])
-    produced = 0
-    for stream in _load_streams(args):
-        try:
-            trajectory = rbo_trajectory(stream, args.window, params)
-        except DataError as exc:
-            _skip(stream, str(exc))
-            continue
-        produced += 1
-        for t, value in trajectory.points:
-            out.writerow([stream.resource_id, t, _float_fmt(value)])
-    if produced == 0:
-        raise DataError("no stream is long enough for the requested window")
+    _write_per_stream(
+        out,
+        _load_streams(args),
+        lambda s: _point_rows(s, rbo_trajectory(s, args.window, params).points),
+        "no stream is long enough for the requested window",
+    )
     return 0
 
 
 def _cmd_kl(args) -> int:
     out = _writer()
     out.writerow(["resource_id", "n", "kl"])
-    produced = 0
-    for stream in _load_streams(args):
-        try:
-            points = kl_topk_trajectory(stream, args.m, args.k)
-        except DataError as exc:
-            _skip(stream, str(exc))
-            continue
-        produced += 1
-        for n, value in points:
-            out.writerow([stream.resource_id, n, _float_fmt(value)])
-    if produced == 0:
-        raise DataError("no stream is long enough for the requested window")
+    _write_per_stream(
+        out,
+        _load_streams(args),
+        lambda s: _point_rows(s, kl_topk_trajectory(s, args.m, args.k)),
+        "no stream is long enough for the requested window",
+    )
     return 0
 
 
@@ -205,19 +217,16 @@ def _cmd_powerlaw(args) -> int:
             pooled.extend(_final_counts(stream))
         out.writerow(_format_fit_row("pooled", _fit_row(pooled)))
         return 0
-    rows = []
-    for stream in streams:
-        try:
-            rows.append((stream.resource_id, _fit_row(_final_counts(stream))))
-        except DataError as exc:
-            _skip(stream, str(exc))
-    if not rows:
-        raise DataError("no resource produced a fittable sample")
-    for resource_id, row in rows:
-        out.writerow(_format_fit_row(resource_id, row))
-    matrix = np.array([row for _, row in rows], dtype=float)
+    fits = []
+
+    def rows(stream):
+        fits.append(_fit_row(_final_counts(stream)))
+        return [_format_fit_row(stream.resource_id, fits[-1])]
+
+    _write_per_stream(out, streams, rows, "no resource produced a fittable sample")
+    matrix = np.array(fits, dtype=float)
     out.writerow(_format_fit_row("mean", list(matrix.mean(axis=0))))
-    spread = matrix.std(axis=0, ddof=1) if len(rows) > 1 else np.full(matrix.shape[1], np.nan)
+    spread = matrix.std(axis=0, ddof=1) if len(fits) > 1 else np.full(matrix.shape[1], np.nan)
     out.writerow(_format_fit_row("std", list(spread)))
     return 0
 

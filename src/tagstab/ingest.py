@@ -67,7 +67,11 @@ def _report(streams: tuple[TagStream, ...], rejected: Counter[str]) -> Ingestion
 
 
 def _header_columns(line: str, delimiter: str, required: tuple[str, ...]) -> dict[str, int]:
-    columns = {name: i for i, name in enumerate(line.rstrip("\r\n").split(delimiter))}
+    columns: dict[str, int] = {}
+    for i, name in enumerate(line.rstrip("\r\n").split(delimiter)):
+        if name in columns:
+            raise IngestionError(f"header repeats column {name!r}")
+        columns[name] = i
     missing = [name for name in required if name not in columns]
     if missing:
         raise IngestionError(f"header is missing columns: {', '.join(missing)}")

@@ -164,49 +164,46 @@ def _ranks_by_count(histogram: dict[int, int]) -> dict[int, int]:
     return ranks
 
 
-def _window_events(
-    counts: dict[str, int], histogram: dict[int, int], before: dict[str, int]
-) -> dict[int, list[int]]:
+def _window_events(then, now, counts: dict[str, int], before: dict[str, int]):
     """Step events of the RBO between the ranking at the previous checkpoint
-    and the current one, from the state ``_checkpoints`` yields.
+    and the current one.
 
+    ``then`` and ``now`` are each a checkpoint's ``(histogram, ranks)``;
+    ``counts`` and ``before`` are the current state ``_checkpoints`` yields.
     A tag the window did not touch has one count c in both rankings and
     reaches both prefixes at the later ranking's rank of c, which is never
     smaller than the earlier one; so every current tag is first booked that
     way and the touched tags are then corrected one by one.
     """
-    earlier = dict(histogram)
-    for tag, old in before.items():
-        new = counts[tag]
-        if earlier[new] == 1:
-            del earlier[new]
-        else:
-            earlier[new] -= 1
-        if old:
-            earlier[old] = earlier.get(old, 0) + 1
-    rank_then = _ranks_by_count(earlier)
-    rank_now = _ranks_by_count(histogram)
+    (earlier, rank_then), (histogram, rank_now) = then, now
     # Within one ranking every count has its own rank.
     events = {rank_then[count]: [holders, 0] for count, holders in earlier.items()}
     for count, holders in histogram.items():
         _bump(events, rank_now[count], holders, holders)
     for tag, old in before.items():
-        now = rank_now[counts[tag]]
-        events[now][1] -= 1
+        reached = rank_now[counts[tag]]
+        events[reached][1] -= 1
         if old:
-            events[max(now, rank_then[old])][1] += 1
+            events[max(reached, rank_then[old])][1] += 1
     return events
 
 
 def _window_rbos(stream: TagStream, window: int, params: RboParams, ts: Sequence[int]):
     """Yield (t, RBO between the rankings at t - window and t) for each t in
     ``ts``, ascending, from one walk of the stream; every t must be a
-    multiple of the window, at least twice it and within the stream."""
+    multiple of the window, at least twice it and within the stream.
+
+    Each checkpoint that some t needs is ranked once and carried forward
+    as the earlier ranking of the next one."""
     wanted = set(ts)
     last = max(wanted)
+    now = None
     for t, counts, histogram, before in _checkpoints(stream, window):
+        then = now
+        if t in wanted or t + window in wanted:
+            now = dict(histogram), _ranks_by_count(histogram)
         if t in wanted:
-            yield t, _run_sum(_window_events(counts, histogram, before), params)
+            yield t, _run_sum(_window_events(then, now, counts, before), params)
         if t == last:
             return
 
@@ -266,6 +263,10 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
         raise ParameterError("probabilities must be non-negative")
     if abs(math.fsum(p) - 1.0) > 1e-9 or abs(math.fsum(q) - 1.0) > 1e-9:
         raise ParameterError("each distribution must sum to 1 within 1e-9")
+    return _kl_sum(p, q)
+
+
+def _kl_sum(p: Sequence[float], q: Sequence[float]) -> float:
     total = 0.0
     for pi, qi in zip(p, q):
         if pi == 0.0:
@@ -311,23 +312,15 @@ def kl_topk_trajectory(
         raise InsufficientDataError(
             f"stream of length {n} is shorter than two windows of {window}"
         )
-    tops = {
-        t: (len(counts), _top_counts(histogram, top_k))
-        for t, counts, histogram, _ in _checkpoints(stream, window)
-    }
     points = []
-    for pos in sorted(tops):
-        later = pos + window
-        if later not in tops:
-            continue
-        d_now, top_now = tops[pos]
-        d_later, top_later = tops[later]
-        k_prime = min(top_k, d_now, d_later)
-        if k_prime == 0:
-            raise InsufficientDataError("no ranked tags available to compare")
-        p_vec = _normalized(top_later[:k_prime])
-        q_vec = _normalized(top_now[:k_prime])
-        points.append((pos, kl_divergence(p_vec, q_vec)))
+    earlier = None
+    for t, _, histogram, _ in _checkpoints(stream, window):
+        top = _top_counts(histogram, top_k)
+        if earlier is not None:
+            # Distinct tags never shrink, so the earlier vector has K' counts.
+            later = _normalized(top[: len(earlier)])
+            points.append((t - window, _kl_sum(later, _normalized(earlier))))
+        earlier = top
     return tuple(points)
 
 
@@ -345,7 +338,7 @@ def kl_random_baseline(
     ``length`` draws from a uniform vocabulary of ``vocabulary_size`` tags.
     Deterministic for a fixed seed.
     """
-    from .generators import GeneratorConfig, _generate_with, _prepare
+    from .generators import GeneratorConfig, generate_corpus
 
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -356,10 +349,8 @@ def kl_random_baseline(
         seed=seed,
         vocabulary_size=vocabulary_size,
     )
-    prepared = _prepare(config)
     sums: dict[int, float] = {}
-    for index in range(trials):
-        stream = _generate_with(config, index, prepared)
+    for stream in generate_corpus(config):
         for pos, value in kl_topk_trajectory(stream, window, top_k):
             sums[pos] = sums.get(pos, 0.0) + value
     return tuple((pos, sums[pos] / trials) for pos in sorted(sums))

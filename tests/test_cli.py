@@ -114,6 +114,39 @@ class TestProportionsCommand:
             "r1,4,b,0.250000",
         ]
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):
+        code, stdout, err = run(capsys, "proportions", constant_log(tmp_path), "--top", top)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("tagstab: error: ")
+
+
+class TestPerStreamCommands:
+    @pytest.fixture()
+    def mixed_log(self, tmp_path, capsys):
+        # One simulated stream long enough for every command, then a
+        # five-assignment stream that each of them must skip.
+        path = tmp_path / "mixed.tsv"
+        run(capsys, "simulate", "--model", "mixture", "--imitation-rate", "0.7",
+            "--vocab", "500", "--length", "400", "--streams", "1",
+            "--seed", "5", "--out", str(path))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.writelines(f"tiny\tonly\t{seq}\n" for seq in range(1, 6))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv", [["rbo"], ["kl"], ["powerlaw", "--per-resource"]], ids=["rbo", "kl", "powerlaw"]
+    )
+    def test_long_stream_printed_short_one_skipped(self, mixed_log, capsys, argv):
+        code, stdout, err = run(capsys, argv[0], mixed_log, *argv[1:])
+        assert code == 0
+        ids = {line.split(",")[0] for line in stdout.splitlines()[1:]}
+        assert "stream-00000" in ids
+        assert "tiny" not in ids
+        assert err.startswith("skipping tiny: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestKlCommands:
     def test_kl_output(self, tmp_path, capsys):
@@ -227,6 +260,14 @@ class TestSurfaceCommands:
         assert lines[0] == "dataset,t,k,f"
         datasets = {line.split(",")[0] for line in lines[1:]}
         assert datasets == {"sim", "other"}
+
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.1", "0:1:nan", "0:1:inf"])
+    def test_non_finite_grid_is_usage_error(self, simulated_log, capsys, grid):
+        code, _, err = run(
+            capsys, "surface", simulated_log, "--t-grid", "20:80:20", "--k-grid", grid
+        )
+        assert code == 1
+        assert err == f"tagstab: error: grid {grid!r} must have finite bounds and step\n"
 
     def test_bad_grid_is_usage_error(self, simulated_log, capsys):
         code, _, err = run(

@@ -106,6 +106,11 @@ class TestTagLog:
         with pytest.raises(IngestionError, match="seq"):
             ingest_tag_log(log)
 
+    def test_repeated_header_column(self, tmp_path):
+        log = write(tmp_path / "log.tsv", "resource_id\ttag\tseq\ttag\nr1\ta\t1\tb\n")
+        with pytest.raises(IngestionError, match="header repeats column 'tag'"):
+            ingest_tag_log(log)
+
     def test_no_accepted_rows(self, tmp_path):
         log = write(tmp_path / "log.tsv", "resource_id\ttag\tseq\nr1\t\t1\n")
         with pytest.raises(IngestionError):
@@ -188,6 +193,11 @@ class TestTextCorpus:
         )
         streams, _ = ingest_text_corpus(corpus)
         assert [s.resource_id for s in streams] == ["r2"]
+
+    def test_repeated_header_column(self, tmp_path):
+        corpus = write(tmp_path / "texts.tsv", "resource_id\tseq\ttext\tseq\nr1\t1\thi\t2\n")
+        with pytest.raises(IngestionError, match="header repeats column 'seq'"):
+            ingest_text_corpus(corpus)
 
     def test_no_accepted_rows(self, tmp_path):
         corpus = write(tmp_path / "texts.tsv", "resource_id\tseq\ttext\nr1\tx\thello\n")
