@@ -25,13 +25,14 @@ from .measures import (
     DEFAULT_WINDOW,
     VARIANTS,
     RboParams,
+    _check_kl_arguments,
     kl_random_baseline,
     kl_topk_trajectory,
     rbo_trajectory,
 )
 from .powerlaw import ccdf, compare_distributions, fit_power_law
-from .stability import stability_surface
-from .streams import _checkpoints, snapshot
+from .stability import _surface_arguments, stability_surface
+from .streams import _check_window, _checkpoints, snapshot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,8 +42,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# A grid of this many points already gives 1e-4 steps over [0, 1].
+_MAX_GRID_POINTS = 10_001
+
+
 def _float_fmt(x: float) -> str:
     return f"{x:#.6g}"
+
+
+def _check_grid_size(text: str, points: int) -> None:
+    if points > _MAX_GRID_POINTS:
+        raise ParameterError(
+            f"grid {text!r} has more than {_MAX_GRID_POINTS} points"
+        )
 
 
 def _parse_int_grid(text: str) -> tuple[int, ...]:
@@ -54,6 +66,8 @@ def _parse_int_grid(text: str) -> tuple[int, ...]:
         ) from None
     if step < 1 or stop < start:
         raise ParameterError(f"grid {text!r} must ascend with a positive step")
+    # Counted before the grid is built, so a tiny step fails at once.
+    _check_grid_size(text, (stop - start) // step + 1)
     return tuple(range(start, stop + 1, step))
 
 
@@ -68,9 +82,13 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
         raise ParameterError(f"grid {text!r} must have finite bounds and step")
     if step <= 0 or stop < start:
         raise ParameterError(f"grid {text!r} must ascend with a positive step")
-    count = int(round((stop - start) / step))
+    # Clamped first: a step far below the range would overflow round(),
+    # and one point past the limit is enough to reject the grid.
+    count = round(min((stop - start) / step, _MAX_GRID_POINTS))
     points = [start + i * step for i in range(count + 1)]
-    return tuple(x for x in points if x <= stop + 1e-12)
+    grid = tuple(x for x in points if x <= stop + 1e-12)
+    _check_grid_size(text, len(grid))
+    return grid
 
 
 def _writer():
@@ -95,6 +113,7 @@ def _cmd_validate(args) -> int:
 def _cmd_proportions(args) -> int:
     if args.top < 1:
         raise ParameterError(f"--top must be >= 1, got {args.top}")
+    _check_window(args.window)
     out = _writer()
     out.writerow(["resource_id", "t", "tag", "proportion"])
     for stream in _load_streams(args):
@@ -134,6 +153,7 @@ def _point_rows(stream, points) -> list[list]:
 
 def _cmd_rbo(args) -> int:
     params = RboParams(args.p, args.variant)
+    _check_window(args.window)
     out = _writer()
     out.writerow(["resource_id", "t", "rbo"])
     _write_per_stream(
@@ -146,6 +166,7 @@ def _cmd_rbo(args) -> int:
 
 
 def _cmd_kl(args) -> int:
+    _check_kl_arguments(args.m, args.k)
     out = _writer()
     out.writerow(["resource_id", "n", "kl"])
     _write_per_stream(
@@ -241,14 +262,22 @@ def _cmd_ccdf(args) -> int:
     return 0
 
 
-def _surface_rows(out, streams, args, label: str | None = None) -> None:
-    surface = stability_surface(
-        streams,
+def _surface_grids(args) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The t and k grids of ``surface`` and ``compare``, checked with the
+    RBO arguments before any log is read."""
+    t_grid, k_grid, _ = _surface_arguments(
         _parse_int_grid(args.t_grid),
         _parse_float_grid(args.k_grid),
-        p=args.p,
-        window=args.window,
-        variant=args.variant,
+        args.p,
+        args.window,
+        args.variant,
+    )
+    return t_grid, k_grid
+
+
+def _surface_rows(out, streams, grids, args, label: str | None = None) -> None:
+    surface = stability_surface(
+        streams, *grids, p=args.p, window=args.window, variant=args.variant
     )
     for i, t in enumerate(surface.t_grid):
         for j, k in enumerate(surface.k_grid):
@@ -257,18 +286,20 @@ def _surface_rows(out, streams, args, label: str | None = None) -> None:
 
 
 def _cmd_surface(args) -> int:
+    grids = _surface_grids(args)
     out = _writer()
     out.writerow(["t", "k", "f"])
-    _surface_rows(out, _load_streams(args), args)
+    _surface_rows(out, _load_streams(args), grids, args)
     return 0
 
 
 def _cmd_compare(args) -> int:
+    grids = _surface_grids(args)
     out = _writer()
     out.writerow(["dataset", "t", "k", "f"])
     for log in args.logs:
         streams, _ = ingest_tag_log(log, delimiter=args.delimiter)
-        _surface_rows(out, streams, args, label=Path(log).stem)
+        _surface_rows(out, streams, grids, args, label=Path(log).stem)
     return 0
 
 

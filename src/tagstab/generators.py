@@ -46,21 +46,35 @@ class BackgroundDistribution:
         return len(self.support)
 
 
-def _vocabulary(size: int) -> tuple[str, ...]:
-    return tuple(f"t{i}" for i in range(1, size + 1))
+def _token_name(index: int) -> str:
+    """The name of synthetic token ``index``: ranks count from 1."""
+    return f"t{index + 1}"
+
+
+class _TokenNames(dict):
+    """Names of synthetic tokens, made on first lookup and then reused, so
+    each distinct token is one str object."""
+
+    def __missing__(self, index: int) -> str:
+        name = self[index] = _token_name(index)
+        return name
+
+
+def _zipf_probabilities(vocabulary_size: int, exponent: float) -> np.ndarray:
+    ranks = np.arange(1, vocabulary_size + 1, dtype=float)
+    weights = ranks**-exponent
+    return weights / weights.sum()
 
 
 def zipf_background(vocabulary_size: int, exponent: float = 1.0) -> BackgroundDistribution:
     """Zipfian background: token of rank r has probability r^-s / sum_j j^-s."""
     if vocabulary_size < 1:
         raise ParameterError(f"vocabulary size must be >= 1, got {vocabulary_size}")
-    if exponent <= 0:
+    if not exponent > 0:
         raise ParameterError(f"zipf exponent must be > 0, got {exponent}")
-    ranks = np.arange(1, vocabulary_size + 1, dtype=float)
-    weights = ranks**-exponent
-    probabilities = weights / weights.sum()
     return BackgroundDistribution(
-        _vocabulary(vocabulary_size), tuple(probabilities.tolist())
+        tuple(map(_token_name, range(vocabulary_size))),
+        tuple(_zipf_probabilities(vocabulary_size, exponent).tolist()),
     )
 
 
@@ -125,7 +139,8 @@ class GeneratorConfig:
             raise ParameterError(
                 f"vocabulary size must be >= 1, got {self.vocabulary_size}"
             )
-        if self.zipf_exponent is not None and self.zipf_exponent <= 0:
+        # Written so that NaN fails too.
+        if self.zipf_exponent is not None and not self.zipf_exponent > 0:
             raise ParameterError(
                 f"zipf exponent must be > 0, got {self.zipf_exponent}"
             )
@@ -137,35 +152,32 @@ class GeneratorConfig:
         configured (or default) vocabulary size and exponent."""
         if self.background is not None:
             return self.background
+        return zipf_background(*self._zipf_parameters())
+
+    def _zipf_parameters(self) -> tuple[int, float]:
         size = self.vocabulary_size or DEFAULT_VOCABULARY_SIZE
         exponent = (
             self.zipf_exponent if self.zipf_exponent is not None else DEFAULT_ZIPF_EXPONENT
         )
-        return zipf_background(size, exponent)
+        return size, exponent
 
 
 def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream_index)))
 
 
-def _background_tables(
-    background: BackgroundDistribution,
-) -> tuple[tuple[str, ...], np.ndarray]:
-    return background.support, np.cumsum(np.asarray(background.probabilities))
-
-
 def _draw_background(
-    rng: np.random.Generator, support: Sequence[str], cumulative: np.ndarray
+    rng: np.random.Generator, support: Sequence[str] | _TokenNames, cumulative: np.ndarray
 ) -> str:
-    index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return support[min(index, len(support) - 1)]
+    index = int(cumulative.searchsorted(rng.random(), side="right"))
+    return support[min(index, len(cumulative) - 1)]
 
 
 def _mixture_tags(
     rng: np.random.Generator,
     length: int,
     imitation_rate: float,
-    support: Sequence[str],
+    support: Sequence[str] | _TokenNames,
     cumulative: np.ndarray,
 ) -> list[str]:
     """One stream of mixture draws.
@@ -187,27 +199,32 @@ def _mixture_tags(
 
 
 def _prepare(config: GeneratorConfig):
+    """The token names of a corpus and, for background draws, the cumulative
+    table.  Without an explicit background neither the vocabulary nor the
+    distribution is built: a synthetic token is named when first drawn."""
     if config.model == "random_uniform" or config.model == "imitation":
-        return _vocabulary(config.vocabulary_size)
-    return _background_tables(config.resolved_background())
+        return _TokenNames(), None
+    if config.background is not None:
+        background = config.background
+        return background.support, np.cumsum(np.asarray(background.probabilities))
+    probabilities = _zipf_probabilities(*config._zipf_parameters())
+    return _TokenNames(), np.cumsum(probabilities)
 
 
 def _generate_with(config: GeneratorConfig, stream_index: int, prepared) -> TagStream:
     rng = _stream_rng(config.seed, stream_index)
     resource_id = f"stream-{stream_index:05d}"
+    support, cumulative = prepared
     if config.model == "random_uniform":
-        vocabulary = prepared
-        draws = rng.integers(0, len(vocabulary), size=config.length)
-        tags = [vocabulary[i] for i in draws]
+        draws = rng.integers(0, config.vocabulary_size, size=config.length)
+        tags = [support[i] for i in draws.tolist()]
     elif config.model == "imitation":
-        vocabulary = prepared
         # Pure urn dynamics never introduce a token beyond the bootstrap
         # draw, so the stream repeats its first token.
-        tags = [vocabulary[int(rng.integers(0, len(vocabulary)))]]
+        tags = [support[int(rng.integers(0, config.vocabulary_size))]]
         for t in range(1, config.length):
             tags.append(tags[int(rng.integers(0, t))])
     else:
-        support, cumulative = prepared
         rate = config.imitation_rate if config.model == "mixture" else 0.0
         tags = _mixture_tags(rng, config.length, rate, support, cumulative)
     return TagStream.from_tags(resource_id, tags)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
-from .streams import RankedList, TagStream, _checkpoints
+from .streams import RankedList, TagStream, _check_window, _checkpoints
 
 VARIANTS = ("plain", "tie_aware", "tie_corrected")
 
@@ -226,6 +226,13 @@ def weight_of_prefix(p: float, depth: int) -> float:
     )
 
 
+def _check_two_windows(length: int, window: int) -> None:
+    if length < 2 * window:
+        raise InsufficientDataError(
+            f"stream of length {length} is shorter than two windows of {window}"
+        )
+
+
 def rbo_trajectory(
     stream: TagStream, window: int = DEFAULT_WINDOW, params: RboParams | None = None
 ) -> RboTrajectory:
@@ -236,12 +243,8 @@ def rbo_trajectory(
     """
     if params is None:
         params = RboParams()
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    if len(stream) < 2 * window:
-        raise InsufficientDataError(
-            f"stream of length {len(stream)} is shorter than two windows of {window}"
-        )
+    _check_window(window)
+    _check_two_windows(len(stream), window)
     ts = range(2 * window, len(stream) + 1, window)
     points = tuple(_window_rbos(stream, window, params, ts))
     return RboTrajectory(
@@ -292,6 +295,12 @@ def _top_counts(histogram: dict[int, int], k: int) -> list[int]:
     return top
 
 
+def _check_kl_arguments(window: int, top_k: int) -> None:
+    _check_window(window)
+    if top_k < 1:
+        raise ParameterError(f"top_k must be >= 1, got {top_k}")
+
+
 def kl_topk_trajectory(
     stream: TagStream, window: int, top_k: int = DEFAULT_TOP_K
 ) -> tuple[tuple[int, float], ...]:
@@ -303,15 +312,8 @@ def kl_topk_trajectory(
     later vector, Q the earlier one, and the point emitted is
     (N, kl_divergence(P, Q)).
     """
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
-    if top_k < 1:
-        raise ParameterError(f"top_k must be >= 1, got {top_k}")
-    n = len(stream)
-    if n < 2 * window:
-        raise InsufficientDataError(
-            f"stream of length {n} is shorter than two windows of {window}"
-        )
+    _check_kl_arguments(window, top_k)
+    _check_two_windows(len(stream), window)
     points = []
     earlier = None
     for t, _, histogram, _ in _checkpoints(stream, window):
@@ -349,6 +351,9 @@ def kl_random_baseline(
         seed=seed,
         vocabulary_size=vocabulary_size,
     )
+    # Every trial stream has the same length: check before drawing any.
+    _check_kl_arguments(window, top_k)
+    _check_two_windows(length, window)
     sums: dict[int, float] = {}
     for stream in generate_corpus(config):
         for pos, value in kl_topk_trajectory(stream, window, top_k):

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, ParameterError
 from .measures import DEFAULT_P, DEFAULT_WINDOW, RboParams, _window_rbos
-from .streams import TagStream
+from .streams import TagStream, _check_window
 
 NO_STABILITY_BELOW = 0.4
 HIGH_STABILITY_ABOVE = 0.7
@@ -34,8 +34,7 @@ class StabilitySurface:
 
 
 def _check_checkpoint(t: int, window: int) -> None:
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
+    _check_window(window)
     if t % window != 0 or t < 2 * window:
         raise ParameterError(
             f"t must be a multiple of the window and at least twice it; "
@@ -81,15 +80,14 @@ def stabilization_fraction(
     return stability_surface(corpus, (t,), (k,), p, window, variant).values[0][0]
 
 
-def stability_surface(
-    corpus: Iterable[TagStream],
+def _surface_arguments(
     t_grid: Sequence[int],
     k_grid: Sequence[float],
-    p: float = DEFAULT_P,
-    window: int = DEFAULT_WINDOW,
-    variant: str = "tie_corrected",
-) -> StabilitySurface:
-    """Evaluate the stabilized fraction over every (t, k) grid cell."""
+    p: float,
+    window: int,
+    variant: str,
+) -> tuple[tuple[int, ...], tuple[float, ...], RboParams]:
+    """Check a surface's grids and RBO parameters; they need no stream."""
     t_grid = tuple(t_grid)
     k_grid = tuple(k_grid)
     if not t_grid or not k_grid:
@@ -102,7 +100,19 @@ def stability_surface(
         _check_checkpoint(t, window)
     for k in k_grid:
         _check_threshold(k)
-    params = RboParams(p, variant)
+    return t_grid, k_grid, RboParams(p, variant)
+
+
+def stability_surface(
+    corpus: Iterable[TagStream],
+    t_grid: Sequence[int],
+    k_grid: Sequence[float],
+    p: float = DEFAULT_P,
+    window: int = DEFAULT_WINDOW,
+    variant: str = "tie_corrected",
+) -> StabilitySurface:
+    """Evaluate the stabilized fraction over every (t, k) grid cell."""
+    t_grid, k_grid, params = _surface_arguments(t_grid, k_grid, p, window, variant)
     corpus = tuple(corpus)
     per_t: dict[int, list[float]] = {t: [] for t in t_grid}
     for stream in corpus:

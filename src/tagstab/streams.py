@@ -215,6 +215,11 @@ def rank(snap: FrequencySnapshot) -> RankedList:
     return RankedList(tuple(entries))
 
 
+def _check_window(window: int) -> None:
+    if window < 1:
+        raise ParameterError(f"window must be >= 1, got {window}")
+
+
 def _checkpoints(stream: TagStream, window: int):
     """Walk ``stream`` once, yielding its count state after every ``window``
     assignments.
@@ -228,8 +233,7 @@ def _checkpoints(stream: TagStream, window: int):
     ``histogram`` describes the whole ranking.  The dicts are live state:
     read them before asking for the next item and never modify them.
     """
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
+    _check_window(window)
     counts: dict[str, int] = {}
     histogram: dict[int, int] = {}
     before: dict[str, int] = {}
@@ -261,8 +265,7 @@ def proportion_trajectory(
     each observed tag maps to count(tag, t) / t; the values at a checkpoint
     sum to 1.
     """
-    if window < 1:
-        raise ParameterError(f"window must be >= 1, got {window}")
+    _check_window(window)
     if len(stream) == 0:
         raise EmptyInputError("cannot compute proportions of an empty stream")
     return tuple(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tagstab import ParameterError
 from tagstab.cli import main
 
 
@@ -57,6 +58,15 @@ class TestSimulateAndValidate:
             run(capsys, "simulate", "--model", "background", "--vocab", "50",
                 "--length", "40", "--streams", "2", "--seed", "3", "--out", out)
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("model", ["background", "mixture"])
+    def test_nan_exponent_is_usage_error(self, tmp_path, capsys, model):
+        out = tmp_path / "sim.tsv"
+        code, _, err = run(capsys, "simulate", "--model", model, "--zipf-s", "nan",
+                           "--length", "10", "--out", str(out))
+        assert code == 1
+        assert "zipf exponent" in err
+        assert not out.exists()
 
     def test_uniform_simulation_gives_flat_proportions(self, tmp_path, capsys):
         out = str(tmp_path / "uniform.tsv")
@@ -275,6 +285,96 @@ class TestSurfaceCommands:
         )
         assert code == 1
         assert "error" in err
+
+
+MISSING = "/nonexistent/file.tsv"
+GRIDS = ("--t-grid", "20:40:20", "--k-grid", "0:1:0.5")
+
+
+class TestUsageErrorsBeforeInput:
+    @pytest.mark.parametrize("argv", [
+        ("rbo", MISSING, "--window", "0"),
+        ("rbo", MISSING, "--p", "1.5"),
+        ("kl", MISSING, "--m", "0"),
+        ("kl", MISSING, "--k", "0"),
+        ("proportions", MISSING, "--window", "0"),
+        ("proportions", MISSING, "--top", "0"),
+        ("surface", MISSING, "--window", "0", *GRIDS),
+        ("surface", MISSING, "--p", "1.5", *GRIDS),
+        ("surface", MISSING, "--t-grid", "20-40", "--k-grid", "0:1:0.5"),
+        ("surface", MISSING, "--t-grid", "20:40:20", "--k-grid", "0:2:0.5"),
+        ("surface", MISSING, "--t-grid", "25:45:20", "--k-grid", "0:1:0.5"),
+        ("surface", MISSING, "--t-grid", "10:30:10", "--k-grid", "0:1:0.5"),
+        ("compare", MISSING, MISSING, "--window", "0", *GRIDS),
+        ("compare", MISSING, MISSING, "--p", "1.5", *GRIDS),
+        ("compare", MISSING, MISSING, "--t-grid", "20:40:20", "--k-grid", "0:1:x"),
+        ("compare", MISSING, MISSING, "--t-grid", "20:40:20", "--k-grid=-1:1:0.5"),
+        ("compare", MISSING, MISSING, "--t-grid", "35:55:20", "--k-grid", "0:1:0.5"),
+    ])
+    def test_exit_one_with_empty_stdout(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("tagstab: error: ")
+
+    def test_missing_file_with_good_arguments_is_data_error(self, capsys):
+        assert run(capsys, "rbo", MISSING, "--window", "5")[0] == 2
+
+    def test_baseline_fails_before_drawing(self, capsys, monkeypatch):
+        import tagstab.generators
+
+        def refuse(config):
+            raise AssertionError("a trial stream was drawn")
+
+        monkeypatch.setattr(tagstab.generators, "generate_corpus", refuse)
+        for flag in ("--m", "--k"):
+            code, stdout, _ = run(
+                capsys, "kl-baseline", "--vocab", "100", flag, "0", "--length", "100"
+            )
+            assert (code, stdout) == (1, "")
+        code, _, err = run(capsys, "kl-baseline", "--vocab", "100", "--m", "10",
+                           "--length", "10")
+        assert code == 2
+        assert "shorter than two windows" in err
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("grids", [
+        ("--t-grid", "20:40:20", "--k-grid", "0:1:1e-9"),
+        ("--t-grid", "20:40:20", "--k-grid", "0:1e308:1e-308"),
+        ("--t-grid", "10:1000000000:10", "--k-grid", "0:1:0.5"),
+    ])
+    def test_too_many_points_is_usage_error(self, capsys, grids):
+        for command in (("surface", MISSING), ("compare", MISSING, MISSING)):
+            code, stdout, err = run(capsys, *command, *grids)
+            assert (code, stdout) == (1, "")
+            assert "has more than 10001 points" in err
+
+    def test_largest_grids_are_accepted(self):
+        from tagstab.cli import _parse_float_grid, _parse_int_grid
+
+        assert len(_parse_float_grid("0:1:0.0001")) == 10_001
+        assert len(_parse_int_grid("10:100010:10")) == 10_001
+        with pytest.raises(ParameterError):
+            _parse_int_grid("10:100020:10")
+
+    def test_float_grid_counts_only_points_within_stop(self):
+        from tagstab.cli import _parse_float_grid
+
+        # (stop - start) / step is about 10000.5: the count rounds up to a
+        # point past stop, which is not part of the grid.
+        grid = _parse_float_grid("0:1:0.0000999949")
+        assert len(grid) == 10_001
+        assert grid[-1] <= 1.0
+        with pytest.raises(ParameterError):
+            _parse_float_grid("0:1:0.0000999899")
+
+    def test_fine_k_grid_runs(self, simulated_log, capsys):
+        code, stdout, _ = run(
+            capsys, "surface", simulated_log, "--t-grid", "80:80:10", "--k-grid", "0:1:0.0001"
+        )
+        assert code == 0
+        assert len(stdout.splitlines()) == 1 + 10_001
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ class TestZipfBackground:
             zipf_background(0, 1.0)
         with pytest.raises(ParameterError):
             zipf_background(10, 0.0)
+        with pytest.raises(ParameterError, match="zipf exponent"):
+            zipf_background(10, math.nan)
 
 
 class TestLoadBackground:
@@ -96,6 +99,11 @@ class TestGeneratorConfig:
     def test_imitation_rate_domain(self):
         with pytest.raises(ParameterError):
             GeneratorConfig(model="mixture", length=10, imitation_rate=1.5)
+
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, math.nan])
+    def test_zipf_exponent_domain(self, exponent):
+        with pytest.raises(ParameterError, match="zipf exponent"):
+            GeneratorConfig(model="mixture", length=10, zipf_exponent=exponent)
 
     def test_background_defaults_to_zipf(self):
         config = GeneratorConfig(model="background", length=10, vocabulary_size=4)
@@ -167,3 +175,72 @@ class TestGeneration:
         expected = np.array(background.probabilities) * len(stream)
         chi_square = float(((observed - expected) ** 2 / expected).sum())
         assert chi_square < stats.chi2.ppf(0.999, df=len(background.support) - 1)
+
+
+def reference_uniform(config, index):
+    """random_uniform and imitation drawn straight from the stream's RNG."""
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
+    if config.model == "random_uniform":
+        draws = rng.integers(0, config.vocabulary_size, size=config.length)
+        return tuple(f"t{j + 1}" for j in draws)
+    tags = [f"t{int(rng.integers(0, config.vocabulary_size)) + 1}"]
+    for t in range(1, config.length):
+        tags.append(tags[int(rng.integers(0, t))])
+    return tuple(tags)
+
+
+class TestSyntheticVocabulary:
+    @pytest.mark.parametrize("seed", [0, 5, 42])
+    @pytest.mark.parametrize("rate", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("exponent", [1.0, 1.3])
+    def test_matches_explicit_zipf_background(self, seed, rate, exponent):
+        for model in ("background", "mixture"):
+            synthetic = GeneratorConfig(
+                model=model, length=300, n_streams=3, seed=seed, imitation_rate=rate,
+                vocabulary_size=5000, zipf_exponent=exponent,
+            )
+            explicit = GeneratorConfig(
+                model=model, length=300, n_streams=3, seed=seed, imitation_rate=rate,
+                background=zipf_background(5000, exponent),
+            )
+            assert generate_corpus(synthetic) == generate_corpus(explicit)
+
+    def test_default_vocabulary_matches_explicit_background(self):
+        synthetic = GeneratorConfig(model="mixture", length=500, seed=9, imitation_rate=0.7)
+        explicit = GeneratorConfig(
+            model="mixture", length=500, seed=9, imitation_rate=0.7,
+            background=zipf_background(100_000, 1.0),
+        )
+        assert generate_stream(synthetic) == generate_stream(explicit)
+
+    @pytest.mark.parametrize("model", ["random_uniform", "imitation"])
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("vocabulary_size", [1, 7, 100_000])
+    def test_uniform_models_match_reference(self, model, seed, vocabulary_size):
+        config = GeneratorConfig(
+            model=model, length=200, n_streams=3, seed=seed, vocabulary_size=vocabulary_size
+        )
+        corpus = generate_corpus(config)
+        assert [s.tags for s in corpus] == [reference_uniform(config, i) for i in range(3)]
+
+    @pytest.mark.parametrize("model", ["random_uniform", "background", "mixture"])
+    def test_one_object_per_token(self, model):
+        config = GeneratorConfig(
+            model=model, length=400, n_streams=5, seed=3, imitation_rate=0.5,
+            vocabulary_size=50,
+        )
+        tags = [tag for stream in generate_corpus(config) for tag in stream.tags]
+        assert len({id(tag) for tag in tags}) == len(set(tags))
+
+    @pytest.mark.parametrize("model", ["random_uniform", "mixture"])
+    def test_vocabulary_is_not_built(self, model):
+        config = GeneratorConfig(
+            model=model, length=100, seed=1, imitation_rate=0.7, vocabulary_size=100_000
+        )
+        tracemalloc.start()
+        try:
+            generate_corpus(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
