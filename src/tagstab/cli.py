@@ -114,9 +114,10 @@ def _cmd_proportions(args) -> int:
     if args.top < 1:
         raise ParameterError(f"--top must be >= 1, got {args.top}")
     _check_window(args.window)
+    streams = _load_streams(args)
     out = _writer()
     out.writerow(["resource_id", "t", "tag", "proportion"])
-    for stream in _load_streams(args):
+    for stream in streams:
         final = snapshot(stream, len(stream)).counts
         top = sorted(final.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
         tags = [tag for tag, _ in top]
@@ -128,22 +129,25 @@ def _cmd_proportions(args) -> int:
     return 0
 
 
-def _write_per_stream(out, streams, rows, all_skipped: str) -> None:
-    """Write ``rows(stream)`` for each stream in turn.
+def _write_per_stream(header, streams, rows, all_skipped: str) -> None:
+    """Write ``header`` and then ``rows(stream)`` for each stream in turn.
 
-    A stream whose rows raise a DataError is skipped with a note on stderr;
-    if every stream is skipped, DataError(all_skipped) is raised.
+    A stream whose rows raise a DataError is skipped with a note on stderr.
+    The header waits for the first stream that is not skipped: if every
+    stream is skipped, DataError(all_skipped) is raised with stdout empty.
     """
-    produced = 0
+    out = None
     for stream in streams:
         try:
             stream_rows = rows(stream)
         except DataError as exc:
             print(f"skipping {stream.resource_id}: {exc}", file=sys.stderr)
             continue
-        produced += 1
+        if out is None:
+            out = _writer()
+            out.writerow(header)
         out.writerows(stream_rows)
-    if produced == 0:
+    if out is None:
         raise DataError(all_skipped)
 
 
@@ -154,10 +158,8 @@ def _point_rows(stream, points) -> list[list]:
 def _cmd_rbo(args) -> int:
     params = RboParams(args.p, args.variant)
     _check_window(args.window)
-    out = _writer()
-    out.writerow(["resource_id", "t", "rbo"])
     _write_per_stream(
-        out,
+        ["resource_id", "t", "rbo"],
         _load_streams(args),
         lambda s: _point_rows(s, rbo_trajectory(s, args.window, params).points),
         "no stream is long enough for the requested window",
@@ -167,10 +169,8 @@ def _cmd_rbo(args) -> int:
 
 def _cmd_kl(args) -> int:
     _check_kl_arguments(args.m, args.k)
-    out = _writer()
-    out.writerow(["resource_id", "n", "kl"])
     _write_per_stream(
-        out,
+        ["resource_id", "n", "kl"],
         _load_streams(args),
         lambda s: _point_rows(s, kl_topk_trajectory(s, args.m, args.k)),
         "no stream is long enough for the requested window",
@@ -228,15 +228,13 @@ def _format_fit_row(label: str, row: list[float]) -> list[str]:
 
 def _cmd_powerlaw(args) -> int:
     streams = _load_streams(args)
-    out = _writer()
-    out.writerow(
-        ["resource_id", "alpha", "xmin", "ks_d", "n_tail"] + _COMPARISON_COLUMNS
-    )
+    header = ["resource_id", "alpha", "xmin", "ks_d", "n_tail"] + _COMPARISON_COLUMNS
     if args.pooled:
         pooled: list[int] = []
         for stream in streams:
             pooled.extend(_final_counts(stream))
-        out.writerow(_format_fit_row("pooled", _fit_row(pooled)))
+        row = _format_fit_row("pooled", _fit_row(pooled))
+        _writer().writerows([header, row])
         return 0
     fits = []
 
@@ -244,7 +242,8 @@ def _cmd_powerlaw(args) -> int:
         fits.append(_fit_row(_final_counts(stream)))
         return [_format_fit_row(stream.resource_id, fits[-1])]
 
-    _write_per_stream(out, streams, rows, "no resource produced a fittable sample")
+    _write_per_stream(header, streams, rows, "no resource produced a fittable sample")
+    out = _writer()
     matrix = np.array(fits, dtype=float)
     out.writerow(_format_fit_row("mean", list(matrix.mean(axis=0))))
     spread = matrix.std(axis=0, ddof=1) if len(fits) > 1 else np.full(matrix.shape[1], np.nan)
@@ -253,9 +252,10 @@ def _cmd_powerlaw(args) -> int:
 
 
 def _cmd_ccdf(args) -> int:
+    streams = _load_streams(args)
     out = _writer()
     out.writerow(["resource_id", "value", "ccdf"])
-    for stream in _load_streams(args):
+    for stream in streams:
         for value, probability in ccdf(_final_counts(stream)):
             cell = str(int(value)) if value.is_integer() else _float_fmt(value)
             out.writerow([stream.resource_id, cell, _float_fmt(probability)])
@@ -275,31 +275,42 @@ def _surface_grids(args) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return t_grid, k_grid
 
 
-def _surface_rows(out, streams, grids, args, label: str | None = None) -> None:
-    surface = stability_surface(
+def _surface(streams, grids, args):
+    return stability_surface(
         streams, *grids, p=args.p, window=args.window, variant=args.variant
     )
+
+
+def _surface_rows(surface, label: str | None = None):
     for i, t in enumerate(surface.t_grid):
         for j, k in enumerate(surface.k_grid):
             row = [t, _float_fmt(k), _float_fmt(surface.values[i][j])]
-            out.writerow([label] + row if label is not None else row)
+            yield [label] + row if label is not None else row
 
 
 def _cmd_surface(args) -> int:
     grids = _surface_grids(args)
+    surface = _surface(_load_streams(args), grids, args)
     out = _writer()
     out.writerow(["t", "k", "f"])
-    _surface_rows(out, _load_streams(args), grids, args)
+    out.writerows(_surface_rows(surface))
     return 0
 
 
 def _cmd_compare(args) -> int:
     grids = _surface_grids(args)
+
+    def surface_of(log):
+        streams, _ = ingest_tag_log(log, delimiter=args.delimiter)
+        return _surface(streams, grids, args)
+
+    # Every log is evaluated, one held at a time, before the first row is
+    # written, so a data error in any of them leaves stdout empty.
+    surfaces = [(Path(log).stem, surface_of(log)) for log in args.logs]
     out = _writer()
     out.writerow(["dataset", "t", "k", "f"])
-    for log in args.logs:
-        streams, _ = ingest_tag_log(log, delimiter=args.delimiter)
-        _surface_rows(out, streams, grids, args, label=Path(log).stem)
+    for label, surface in surfaces:
+        out.writerows(_surface_rows(surface, label))
     return 0
 
 

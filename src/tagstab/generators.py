@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -166,11 +167,53 @@ def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream_index)))
 
 
-def _draw_background(
-    rng: np.random.Generator, support: Sequence[str] | _TokenNames, cumulative: np.ndarray
-) -> str:
-    index = int(cumulative.searchsorted(rng.random(), side="right"))
-    return support[min(index, len(cumulative) - 1)]
+_DOUBLE_SCALE = 2.0**-53
+_UINT32_MASK = 0xFFFFFFFF
+_RAW_BLOCK = 4096
+
+
+class _RawDraws:
+    """``rng.random()`` and ``rng.integers(0, n)`` of a fresh PCG64-backed
+    Generator, read from its raw words in blocks of at most ``_RAW_BLOCK``.
+
+    A double is the top 53 bits of one word (numpy's ``next_double``).  A
+    bounded integer is Lemire's method on 32-bit draws; a 32-bit draw is the
+    low half of a fresh word, and the high half is kept for the next 32-bit
+    draw (PCG64's ``next_uint32``).  Doubles do not touch that kept half.
+    Words are read in blocks of ``min(words_needed, _RAW_BLOCK)``, which
+    must be at least 1.  Words read ahead of need are never used, so the
+    generator must serve nothing else afterwards.
+    """
+
+    def __init__(self, rng: np.random.Generator, words_needed: int) -> None:
+        bit_generator = rng.bit_generator
+        size = min(words_needed, _RAW_BLOCK)
+        blocks = iter(lambda: bit_generator.random_raw(size).tolist(), None)
+        self._words = chain.from_iterable(blocks)
+        self._half: int | None = None
+
+    def random(self) -> float:
+        return (next(self._words) >> 11) * _DOUBLE_SCALE
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = next(self._words)
+        self._half = word >> 32
+        return word & _UINT32_MASK
+
+    def integers(self, n: int) -> int:
+        """``rng.integers(0, n)`` for 1 <= n <= 2**32; n = 1 draws nothing."""
+        if n == 1:
+            return 0
+        product = self._uint32() * n
+        if product & _UINT32_MASK < n:
+            threshold = (1 << 32) % n
+            while product & _UINT32_MASK < threshold:
+                product = self._uint32() * n
+        return product >> 32
 
 
 def _mixture_tags(
@@ -188,13 +231,32 @@ def _mixture_tags(
     empty and the draw falls back to the background.  The imitation check
     short-circuits when the rate is 0, so a pure-background configuration
     consumes the identical random sequence.
+
+    The draws are those of ``rng.random()`` and ``rng.integers(0, t)`` made
+    step by step; the background tokens are then looked up all at once.
     """
-    tags: list[str] = []
+    imitates = imitation_rate > 0.0
+    # Barring Lemire rejections, a step takes at most two words: the
+    # imitation check's double, then a background double or a word that
+    # serves two 32-bit draws.
+    draws = _RawDraws(rng, 2 * length if imitates else length)
+    random, integers = draws.random, draws.integers
+    # sources[t] is the earlier step that step t copies, or -1 for a
+    # background draw, whose uniform goes to ``uniforms``.
+    sources: list[int] = []
+    uniforms: list[float] = []
     for t in range(length):
-        if t > 0 and imitation_rate > 0.0 and rng.random() < imitation_rate:
-            tags.append(tags[int(rng.integers(0, t))])
+        if t > 0 and imitates and random() < imitation_rate:
+            sources.append(integers(t))
         else:
-            tags.append(_draw_background(rng, support, cumulative))
+            sources.append(-1)
+            uniforms.append(random())
+    # Searching all but the last bound clamps the index to the last token.
+    indices = cumulative[:-1].searchsorted(uniforms, side="right")
+    names = map(support.__getitem__, indices.tolist())
+    tags: list[str] = []
+    for source in sources:
+        tags.append(next(names) if source < 0 else tags[source])
     return tags
 
 
@@ -220,10 +282,9 @@ def _generate_with(config: GeneratorConfig, stream_index: int, prepared) -> TagS
         tags = [support[i] for i in draws.tolist()]
     elif config.model == "imitation":
         # Pure urn dynamics never introduce a token beyond the bootstrap
-        # draw, so the stream repeats its first token.
-        tags = [support[int(rng.integers(0, config.vocabulary_size))]]
-        for t in range(1, config.length):
-            tags.append(tags[int(rng.integers(0, t))])
+        # draw, so the stream repeats its first token whatever the urn picks
+        # are; they are not drawn.
+        tags = [support[int(rng.integers(0, config.vocabulary_size))]] * config.length
     else:
         rate = config.imitation_rate if config.model == "mixture" else 0.0
         tags = _mixture_tags(rng, config.length, rate, support, cumulative)
@@ -237,9 +298,13 @@ def generate_stream(config: GeneratorConfig, stream_index: int = 0) -> TagStream
     return _generate_with(config, stream_index, _prepare(config))
 
 
+def _corpus_streams(config: GeneratorConfig) -> Iterator[TagStream]:
+    """The streams of the corpus in index order, each made when asked for."""
+    prepared = _prepare(config)
+    for index in range(config.n_streams):
+        yield _generate_with(config, index, prepared)
+
+
 def generate_corpus(config: GeneratorConfig) -> tuple[TagStream, ...]:
     """All ``n_streams`` streams of the corpus, in index order."""
-    prepared = _prepare(config)
-    return tuple(
-        _generate_with(config, index, prepared) for index in range(config.n_streams)
-    )
+    return tuple(_corpus_streams(config))

@@ -337,10 +337,11 @@ def kl_random_baseline(
     """Mean KL trajectory of uniformly random streams.
 
     Averages ``kl_topk_trajectory`` over ``trials`` independent streams of
-    ``length`` draws from a uniform vocabulary of ``vocabulary_size`` tags.
-    Deterministic for a fixed seed.
+    ``length`` draws from a uniform vocabulary of ``vocabulary_size`` tags,
+    the streams of ``generate_corpus`` drawn one at a time.  Deterministic
+    for a fixed seed.  A ``length`` below two windows is a ParameterError.
     """
-    from .generators import GeneratorConfig, generate_corpus
+    from .generators import GeneratorConfig, _corpus_streams
 
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -351,11 +352,15 @@ def kl_random_baseline(
         seed=seed,
         vocabulary_size=vocabulary_size,
     )
-    # Every trial stream has the same length: check before drawing any.
+    # Every trial stream has the given length, so a short one is an
+    # argument fault: checked before any stream is drawn.
     _check_kl_arguments(window, top_k)
-    _check_two_windows(length, window)
+    if length < 2 * window:
+        raise ParameterError(
+            f"trial length {length} is shorter than two windows of {window}"
+        )
     sums: dict[int, float] = {}
-    for stream in generate_corpus(config):
+    for stream in _corpus_streams(config):
         for pos, value in kl_topk_trajectory(stream, window, top_k):
             sums[pos] = sums.get(pos, 0.0) + value
     return tuple((pos, sums[pos] / trials) for pos in sorted(sums))

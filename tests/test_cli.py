@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -158,6 +159,67 @@ class TestPerStreamCommands:
         assert len(err.splitlines()) == 1
 
 
+# A table of ten tokens for --background, and per case the arguments of
+# `simulate --seed 7` and the sha256 of the log it writes.  The hashes pin
+# the draws: they depend on numpy's PCG64 and its conventions for doubles
+# and bounded integers.
+GOLDEN_BACKGROUND = "".join(
+    f"w{i}\t{count}\n" for i, count in enumerate([40, 25, 12, 9, 7, 3, 2, 1, 1, 0.5])
+)
+GOLDEN_SIMULATIONS = {
+    "random_uniform": (
+        ["--model", "random_uniform", "--vocab", "1000", "--length", "40", "--streams", "3"],
+        "e6e06bab707a3ed4e2386f67022e39e66b75bcf334731c2e52c093a26483ab51",
+    ),
+    "imitation": (
+        ["--model", "imitation", "--vocab", "1000", "--length", "40", "--streams", "3"],
+        "354b780d675bceb3e158bb115dd954c32f02be0b4d7798d18f6c88af20c0fc36",
+    ),
+    "background": (
+        ["--model", "background", "--length", "300", "--streams", "3"],
+        "8d30f94c3f975950fa52fd825f7ed1ab3f4f443a1244f3ea1fb8cdbd0e0e0f59",
+    ),
+    "mixture": (
+        ["--model", "mixture", "--imitation-rate", "0.7", "--vocab", "1000",
+         "--length", "300", "--streams", "3"],
+        "51f269bff20de635d189d312384ad8498dd11c7d84daac1e514fee7951669edc",
+    ),
+    "mixture-length-2": (
+        ["--model", "mixture", "--imitation-rate", "0.7", "--length", "2", "--streams", "5"],
+        "524743804d801eb17fcc69075f48def30ddd17e8d173a432cb8c00b6e8d0084e",
+    ),
+    "mixture-length-1": (
+        ["--model", "mixture", "--imitation-rate", "1", "--vocab", "1000",
+         "--length", "1", "--streams", "4"],
+        "662d38ad2faf660e49c0e8892e3afcce1b80e2f1e25100cebefe33f2b00beac5",
+    ),
+    "mixture-zipf-1.3": (
+        ["--model", "mixture", "--imitation-rate", "0.3", "--zipf-s", "1.3",
+         "--length", "300", "--streams", "3"],
+        "0e1bde1b4acf629c86af318e9b5aced02bfea3616ad0973e4a4aee29ce4b5d14",
+    ),
+    "mixture-background": (
+        ["--model", "mixture", "--imitation-rate", "0.5", "--background", "BACKGROUND",
+         "--length", "300", "--streams", "3"],
+        "207fe60c6208d126d15623992cc9ef5a9770d597de1cd167cb89a27f305e1262",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SIMULATIONS))
+def test_simulate_bytes_are_pinned(tmp_path, capsys, case):
+    import numpy
+
+    argv, expected = GOLDEN_SIMULATIONS[case]
+    background = tmp_path / "background.tsv"
+    background.write_text(GOLDEN_BACKGROUND, encoding="utf-8")
+    out = tmp_path / "sim.tsv"
+    argv = [str(background) if arg == "BACKGROUND" else arg for arg in argv]
+    assert run(capsys, "simulate", *argv, "--seed", "7", "--out", str(out))[0] == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == expected, f"simulate {case} changed under numpy {numpy.__version__}"
+
+
 class TestKlCommands:
     def test_kl_output(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "kl", constant_log(tmp_path), "--m", "10")
@@ -291,6 +353,37 @@ MISSING = "/nonexistent/file.tsv"
 GRIDS = ("--t-grid", "20:40:20", "--k-grid", "0:1:0.5")
 
 
+class TestDataErrorsLeaveStdoutEmpty:
+    @pytest.mark.parametrize("argv", [
+        ("rbo", MISSING),
+        ("kl", MISSING),
+        ("proportions", MISSING),
+        ("ccdf", MISSING),
+        ("powerlaw", MISSING),
+        ("powerlaw", MISSING, "--pooled"),
+        ("surface", MISSING, *GRIDS),
+        ("compare", MISSING, MISSING, *GRIDS),
+    ])
+    def test_missing_log(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("tagstab: data error: ")
+
+    def test_compare_with_a_missing_later_log(self, simulated_log, capsys):
+        code, stdout, _ = run(capsys, "compare", simulated_log, MISSING, *GRIDS)
+        assert (code, stdout) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("rbo",),
+        ("kl", "--m", "10"),
+        ("surface", *GRIDS),
+    ])
+    def test_no_stream_long_enough(self, tmp_path, capsys, argv):
+        code, stdout, err = run(capsys, argv[0], constant_log(tmp_path, length=15), *argv[1:])
+        assert (code, stdout) == (2, "")
+        assert "data error" in err
+
+
 class TestUsageErrorsBeforeInput:
     @pytest.mark.parametrize("argv", [
         ("rbo", MISSING, "--window", "0"),
@@ -323,19 +416,23 @@ class TestUsageErrorsBeforeInput:
     def test_baseline_fails_before_drawing(self, capsys, monkeypatch):
         import tagstab.generators
 
-        def refuse(config):
+        def refuse(seed, stream_index):
             raise AssertionError("a trial stream was drawn")
 
-        monkeypatch.setattr(tagstab.generators, "generate_corpus", refuse)
+        monkeypatch.setattr(tagstab.generators, "_stream_rng", refuse)
         for flag in ("--m", "--k"):
             code, stdout, _ = run(
                 capsys, "kl-baseline", "--vocab", "100", flag, "0", "--length", "100"
             )
             assert (code, stdout) == (1, "")
-        code, _, err = run(capsys, "kl-baseline", "--vocab", "100", "--m", "10",
-                           "--length", "10")
-        assert code == 2
-        assert "shorter than two windows" in err
+        # A trial length below two windows is a fault of the arguments alone.
+        for length in ("10", "15"):
+            code, stdout, err = run(capsys, "kl-baseline", "--vocab", "100", "--m", "10",
+                                    "--length", length)
+            assert (code, stdout) == (1, "")
+            assert err == (
+                f"tagstab: error: trial length {length} is shorter than two windows of 10\n"
+            )
 
 
 class TestGridSize:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from tagstab import (
     snapshot,
     zipf_background,
 )
+from tagstab.generators import _mixture_tags, _RawDraws
 
 
 class TestZipfBackground:
@@ -177,9 +179,13 @@ class TestGeneration:
         assert chi_square < stats.chi2.ppf(0.999, df=len(background.support) - 1)
 
 
+def stream_rng(seed, index=0):
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
 def reference_uniform(config, index):
     """random_uniform and imitation drawn straight from the stream's RNG."""
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, index)))
+    rng = stream_rng(config.seed, index)
     if config.model == "random_uniform":
         draws = rng.integers(0, config.vocabulary_size, size=config.length)
         return tuple(f"t{j + 1}" for j in draws)
@@ -187,6 +193,114 @@ def reference_uniform(config, index):
     for t in range(1, config.length):
         tags.append(tags[int(rng.integers(0, t))])
     return tuple(tags)
+
+
+def reference_mixture(rng, length, imitation_rate, support, cumulative):
+    """background and mixture drawn with one numpy call per draw."""
+    tags = []
+    for t in range(length):
+        if t > 0 and imitation_rate > 0.0 and rng.random() < imitation_rate:
+            tags.append(tags[int(rng.integers(0, t))])
+        else:
+            index = int(cumulative.searchsorted(rng.random(), side="right"))
+            tags.append(support[min(index, len(cumulative) - 1)])
+    return tags
+
+
+@functools.cache
+def zipf_table(vocabulary_size):
+    background = zipf_background(vocabulary_size, 1.0)
+    return background.support, np.cumsum(np.asarray(background.probabilities))
+
+
+class TestRawDraws:
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 7, 40, 2999, 3000, 3 * 2**30, 2**32 - 1, 2**32]
+    )
+    def test_matches_numpy_calls(self, n):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            # Blocks of three words: the kept half crosses block boundaries.
+            draws = _RawDraws(np.random.default_rng(seed), 3)
+            for step in range(300):
+                # Doubles fall between some bounded draws and not others, so
+                # a 32-bit draw sometimes takes a kept high half.
+                if step % 3 == 0:
+                    assert draws.random() == rng.random()
+                assert draws.integers(n) == int(rng.integers(0, n))
+            assert draws.random() == rng.random()
+
+    def test_rejection_branch_runs(self):
+        # At n = 3 * 2**30 a quarter of the 32-bit draws are rejected.
+        n = 3 * 2**30
+        rng = np.random.default_rng(1)
+        draws = _RawDraws(np.random.default_rng(1), 64)
+        taken = 0
+        uint32 = draws._uint32
+
+        def counted():
+            nonlocal taken
+            taken += 1
+            return uint32()
+
+        draws._uint32 = counted
+        for _ in range(400):
+            assert draws.integers(n) == int(rng.integers(0, n))
+        assert taken > 450
+
+    @pytest.mark.parametrize("needed, block", [(80, 80), (10**9, 4096)])
+    def test_reads_one_bounded_block_at_a_time(self, needed, block):
+        rng = np.random.default_rng(0)
+        _RawDraws(rng, needed).random()
+        expected = np.random.default_rng(0).bit_generator
+        expected.advance(block)
+        assert rng.bit_generator.state == expected.state
+
+
+class TestMixtureDraws:
+    @pytest.mark.parametrize("model", ["background", "mixture"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("vocabulary_size", [1, 7, 1000, 100_000])
+    def test_matches_reference(self, model, rate, vocabulary_size):
+        support, cumulative = zipf_table(vocabulary_size)
+        drawn_rate = rate if model == "mixture" else 0.0
+        for seed in (0, 5):
+            for length in (1, 2, 3, 40, 3000):
+                config = GeneratorConfig(
+                    model=model, length=length, n_streams=2, seed=seed,
+                    imitation_rate=rate, vocabulary_size=vocabulary_size,
+                )
+                expected = [
+                    tuple(reference_mixture(
+                        stream_rng(seed, i), length, drawn_rate, support, cumulative
+                    ))
+                    for i in range(2)
+                ]
+                assert [s.tags for s in generate_corpus(config)] == expected
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+    def test_explicit_background_matches_reference(self, rate):
+        background = load_background([("a", 5), ("b", 3), ("c", 1), ("d", 1)])
+        cumulative = np.cumsum(np.asarray(background.probabilities))
+        config = GeneratorConfig(
+            model="mixture", length=500, n_streams=3, seed=2, imitation_rate=rate,
+            background=background,
+        )
+        expected = [
+            tuple(reference_mixture(
+                stream_rng(2, i), 500, rate, background.support, cumulative
+            ))
+            for i in range(3)
+        ]
+        assert [s.tags for s in generate_corpus(config)] == expected
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_draw_past_the_table_takes_the_last_token(self, rate):
+        # The table ends at 0.3, so most background draws fall past it.
+        support, cumulative = ("a", "b"), np.array([0.1, 0.3])
+        expected = reference_mixture(stream_rng(3), 400, rate, support, cumulative)
+        assert _mixture_tags(stream_rng(3), 400, rate, support, cumulative) == expected
+        assert expected.count("b") > 200
 
 
 class TestSyntheticVocabulary:

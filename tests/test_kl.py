@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ class TestKlRandomBaseline:
         a = kl_random_baseline(10, 25, 100, 300, trials=5, seed=9)
         b = kl_random_baseline(10, 25, 100, 300, trials=5, seed=9)
         assert a == b
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (2, 12):
+            tracemalloc.start()
+            try:
+                kl_random_baseline(10, 25, 1000, 3000, trials=trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Holding every trial stream at once gives about 1.8 times the peak.
+        assert peaks[1] < 1.2 * peaks[0]
+
+    def test_short_trial_length_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="trial length 19 is shorter"):
+            kl_random_baseline(10, 25, 100, 19, trials=2)
 
     def test_trials_validation(self):
         with pytest.raises(ParameterError):
