@@ -330,11 +330,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _delimiter(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
+def _add_delimiter_argument(parser) -> None:
+    parser.add_argument(
+        "--delimiter", type=_delimiter, default="\t",
+        help="input column delimiter (default: tab)",
+    )
+
+
 def _add_log_argument(parser) -> None:
     parser.add_argument("log", help="tag log file (TSV with a header)")
-    parser.add_argument(
-        "--delimiter", default="\t", help="input column delimiter (default: tab)"
-    )
+    _add_delimiter_argument(parser)
 
 
 def _add_rbo_arguments(parser) -> None:
@@ -403,7 +414,7 @@ def _build_parser() -> _Parser:
 
     sub = commands.add_parser("compare", help="stabilization surfaces of several logs")
     sub.add_argument("logs", nargs="+", help="tag log files")
-    sub.add_argument("--delimiter", default="\t")
+    _add_delimiter_argument(sub)
     _add_rbo_arguments(sub)
     _add_grid_arguments(sub)
     sub.set_defaults(func=_cmd_compare)

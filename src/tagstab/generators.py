@@ -83,7 +83,8 @@ def load_background(rows: Iterable[tuple[str, float]]) -> BackgroundDistribution
     """Background distribution from (token, count) rows.
 
     Tokens are normalized (stripped, lowercased) and repeated tokens have
-    their counts merged; probabilities are counts divided by the total.
+    their counts merged; probabilities are counts divided by the total.  A
+    merged count or a total that overflows a float is an IngestionError.
     """
     totals: dict[str, float] = {}
     for row_number, (token, count) in enumerate(rows, start=1):
@@ -94,10 +95,19 @@ def load_background(rows: Iterable[tuple[str, float]]) -> BackgroundDistribution
             raise IngestionError(
                 f"row {row_number}: count must be a non-negative number, got {count}"
             )
-        totals[token] = totals.get(token, 0.0) + float(count)
+        merged = totals[token] = totals.get(token, 0.0) + float(count)
+        if not math.isfinite(merged):
+            raise IngestionError(
+                f"row {row_number}: the counts of {token!r} add up to more than a float holds"
+            )
     if not totals:
         raise IngestionError("background table has no rows")
-    total = math.fsum(totals.values())
+    try:
+        total = math.fsum(totals.values())
+    except OverflowError:
+        raise IngestionError(
+            "background table counts add up to more than a float holds"
+        ) from None
     if total <= 0:
         raise IngestionError("background table counts are all zero")
     return BackgroundDistribution(

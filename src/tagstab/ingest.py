@@ -10,8 +10,10 @@ aborting the load.
 
 from __future__ import annotations
 
+import gc
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import mean, median
@@ -66,6 +68,31 @@ def _report(streams: tuple[TagStream, ...], rejected: Counter[str]) -> Ingestion
     )
 
 
+@contextmanager
+def _open_utf8(path: str | Path):
+    """Open ``path`` as UTF-8 text; bytes that do not decode raise an
+    IngestionError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector.  The rows of a log build only
+    acyclic containers, which it would walk again and again, freeing none;
+    with a user column that is one tuple a row."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _header_columns(line: str, delimiter: str, required: tuple[str, ...]) -> dict[str, int]:
     columns: dict[str, int] = {}
     for i, name in enumerate(line.rstrip("\r\n").split(delimiter)):
@@ -96,7 +123,7 @@ def _read_rows(
     pair, and only a row accepted so far claims its seq.
     """
     by_resource: dict[str, dict[int, object]] = {}
-    with open(path, encoding="utf-8") as handle:
+    with _open_utf8(path) as handle, _collector_paused():
         header = handle.readline()
         if not header:
             raise IngestionError("file is empty")
@@ -243,7 +270,7 @@ def read_background_file(path: str | Path) -> BackgroundDistribution:
     """Parse a headerless ``token<TAB>count`` table into a background
     distribution; empty lines are ignored."""
     pairs: list[tuple[str, float]] = []
-    with open(path, encoding="utf-8") as handle:
+    with _open_utf8(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
             if not line:

@@ -17,6 +17,14 @@ optimizer step costs O(1) or one vectorized pass: the truncated lognormal's
 likelihood depends on the tail only through n, sum(log x) and the sum of
 squares of log x, and the stretched exponential's scale has a closed form for
 each shape, which leaves a one-dimensional profile likelihood.
+
+Only ``scipy.special`` is imported.  The two searches are ports of scipy
+1.17's Nelder-Mead simplex (``_nelder_mead``) and bounded Brent search
+(``_bounded_brent``) onto Python floats: the same steps in the same
+floating-point order, so they return the same bits as
+``scipy.optimize.minimize(method="Nelder-Mead")`` and
+``minimize_scalar(method="bounded")``, and the results no longer depend on
+the installed scipy's optimizer.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
 
@@ -176,6 +184,167 @@ def _exponential_logpdf(x: np.ndarray, lower: float) -> np.ndarray:
     return math.log(rate) - rate * (x - lower)
 
 
+def _nan_last(vertex: tuple[tuple[float, float], float]) -> tuple[bool, float]:
+    # numpy's argsort order: ascending value, NaN after everything else.
+    value = vertex[1]
+    return value != value, value
+
+
+def _nelder_mead(
+    function, start: tuple[float, float], xatol: float, fatol: float, maxiter: int
+) -> tuple[tuple[float, float], bool]:
+    """Minimize ``function(x, y)`` by the Nelder-Mead simplex method from
+    ``start``; returns the best vertex and whether the tolerances were met
+    in fewer than ``maxiter`` iterations.
+
+    A port of scipy 1.17's ``_minimize_neldermead`` in two variables, with
+    what ``_lognormal_fit`` uses of it: non-adaptive coefficients, no bounds
+    and no limit on calls.  Each step is written in scipy's order and form,
+    so the same floats come out.  The initial simplex moves each coordinate
+    by 5% (or to 0.00025 from 0).  The vertices are kept in a stable sort by
+    value with NaN last, as ``np.argsort`` leaves them.  The stop test holds
+    only if every difference is within its tolerance, so a NaN difference
+    (inf - inf) fails it, as it fails ``np.max(...) <= tol``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    points = [tuple(start)]
+    for k in range(2):
+        y = list(start)
+        y[k] = (1 + nonzdelt) * y[k] if y[k] != 0 else zdelt
+        points.append(tuple(y))
+    sim = sorted(((point, function(*point)) for point in points), key=_nan_last)
+    iterations = 1
+    while iterations < maxiter:
+        (best, f_best), (middle, f_middle), (worst, f_worst) = sim
+        if all(
+            abs(v - b) <= xatol for point in (middle, worst) for v, b in zip(point, best)
+        ) and all(abs(f_best - f) <= fatol for f in (f_middle, f_worst)):
+            break
+        xbar = [(b + m) / 2 for b, m in zip(best, middle)]
+        xr = tuple((1 + rho) * c - rho * w for c, w in zip(xbar, worst))
+        fxr = function(*xr)
+        doshrink = False
+        if fxr < f_best:
+            xe = tuple((1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst))
+            fxe = function(*xe)
+            sim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < f_middle:
+            sim[-1] = (xr, fxr)
+        elif fxr < f_worst:
+            xc = tuple((1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst))
+            fxc = function(*xc)
+            if fxc <= fxr:
+                sim[-1] = (xc, fxc)
+            else:
+                doshrink = True
+        else:
+            xcc = tuple((1 - psi) * c + psi * w for c, w in zip(xbar, worst))
+            fxcc = function(*xcc)
+            if fxcc < f_worst:
+                sim[-1] = (xcc, fxcc)
+            else:
+                doshrink = True
+        if doshrink:
+            for j in (1, 2):
+                point = tuple(b + sigma * (v - b) for v, b in zip(sim[j][0], best))
+                sim[j] = (point, function(*point))
+        iterations += 1
+        sim.sort(key=_nan_last)
+    return sim[0][0], iterations < maxiter
+
+
+def _bounded_brent(
+    function, lower: float, upper: float, xatol: float, maxfun: int = 500
+) -> tuple[float, bool]:
+    """Minimize ``function(x)`` over [lower, upper] by Brent's method of
+    golden sections and parabolic steps; returns the best point and whether
+    it was found within ``maxfun`` calls with nothing NaN.
+
+    A port of scipy 1.17's ``_minimize_scalar_bounded``, each step in
+    scipy's order and form, so the same floats come out.  Where scipy
+    writes ``np.sign(d) + (d == 0)``, ``_direction(d)`` gives the same
+    value: 1 for d >= 0, -1 below, NaN for NaN.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lower, upper
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = function(xf)
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    hit_limit = False
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for a parabolic fit.
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _direction(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        # max() returns NaN for a NaN |rat| as np.maximum does; a NaN tol1
+        # means xf is NaN, which makes x NaN either way.
+        x = xf + _direction(rat) * max(abs(rat), tol1)
+        fu = function(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            hit_limit = True
+            break
+    nan = math.isnan(xf) or math.isnan(fx) or math.isnan(fu)
+    return xf, not (hit_limit or nan)
+
+
+def _direction(value: float) -> float:
+    if value < 0:
+        return -1.0
+    if value >= 0:
+        return 1.0
+    return math.nan
+
+
 def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
     """Lognormal truncated to [lower, infinity), fitted by Nelder-Mead over
     (mu, log sigma).
@@ -193,8 +362,7 @@ def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
     squares = float(np.sum((log_x - center) ** 2))
     constant = float(np.sum(log_x)) + 0.5 * n * math.log(2.0 * math.pi)
 
-    def negative_loglik(params: np.ndarray) -> float:
-        mu, log_sigma = float(params[0]), float(params[1])
+    def negative_loglik(mu: float, log_sigma: float) -> float:
         try:
             sigma = math.exp(log_sigma)
             log_tail = float(special.log_ndtr((mu - log_lower) / sigma))
@@ -207,14 +375,10 @@ def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
             return math.inf
         return value if math.isfinite(value) else math.inf
 
-    start = np.array([center, math.log(float(np.std(log_x)) + 1e-3)])
-    result = optimize.minimize(
-        negative_loglik,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-8, "maxiter": 5000},
+    start = (center, math.log(float(np.std(log_x)) + 1e-3))
+    (mu, log_sigma), converged = _nelder_mead(
+        negative_loglik, start, xatol=1e-8, fatol=1e-8, maxiter=5000
     )
-    mu, log_sigma = result.x
     with np.errstate(all="ignore"):
         sigma = math.exp(log_sigma)
         terms = (
@@ -224,7 +388,7 @@ def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
             - 0.5 * ((log_x - mu) / sigma) ** 2
             - special.log_ndtr((mu - log_lower) / sigma)
         )
-    return terms, bool(result.success)
+    return terms, converged
 
 
 def _stretched_exponential_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
@@ -253,23 +417,20 @@ def _stretched_exponential_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray,
         log_e = math.log(float(np.mean(np.expm1(shape * log_ratio))))
         return n * (log_e - log_shape) - shape * total_ratio
 
-    result = optimize.minimize_scalar(
-        negative_profile,
-        bounds=(-20.0, math.log(500.0 / float(np.max(log_ratio)))),
-        method="bounded",
-        options={"xatol": 1e-8},
+    log_shape, converged = _bounded_brent(
+        negative_profile, -20.0, math.log(500.0 / float(np.max(log_ratio))), xatol=1e-8
     )
-    shape = math.exp(result.x)
+    shape = math.exp(log_shape)
     scaled = np.expm1(shape * log_ratio)
     mean_scaled = float(np.mean(scaled))
     terms = (
-        result.x
+        log_shape
         - shape * log_lower
         - math.log(mean_scaled)
         + (shape - 1.0) * log_x
         - scaled / mean_scaled
     )
-    return terms, bool(result.success)
+    return terms, converged
 
 
 def _ratio_test(power_terms: np.ndarray, other_terms: np.ndarray) -> RatioTest:

@@ -92,6 +92,23 @@ class TestSimulateAndValidate:
         body = open(out, encoding="utf-8").read()
         assert "cats" in body or "dogs" in body
 
+    @pytest.mark.parametrize("table", [
+        b"cats\t9\ndo\xffgs\t1\n",
+        b"cats\t1e308\ndogs\t1e308\n",
+        b"cats\t1e308\ncats\t1e308\n",
+    ])
+    def test_bad_background_file_is_data_error(self, tmp_path, capsys, table):
+        path = tmp_path / "bg.tsv"
+        path.write_bytes(table)
+        out = tmp_path / "sim.tsv"
+        code, stdout, err = run(
+            capsys, "simulate", "--model", "background", "--background", str(path),
+            "--length", "20", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("tagstab: data error: ")
+        assert not out.exists()
+
 
 class TestRboCommand:
     def test_constant_log_prints_tenth(self, tmp_path, capsys):
@@ -369,6 +386,23 @@ class TestDataErrorsLeaveStdoutEmpty:
         assert (code, stdout) == (2, "")
         assert err.startswith("tagstab: data error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "LOG"),
+        ("rbo", "LOG"),
+        ("kl", "LOG"),
+        ("proportions", "LOG"),
+        ("ccdf", "LOG"),
+        ("powerlaw", "LOG"),
+        ("surface", "LOG", *GRIDS),
+        ("compare", "LOG", *GRIDS),
+    ])
+    def test_invalid_utf8_log(self, tmp_path, capsys, argv):
+        log = tmp_path / "bad.tsv"
+        log.write_bytes(b"resource_id\ttag\tseq\nr1\t\xff\t1\n")
+        code, stdout, err = run(capsys, *(str(log) if a == "LOG" else a for a in argv))
+        assert (code, stdout) == (2, "")
+        assert err == f"tagstab: data error: {log} is not UTF-8 text: invalid start byte\n"
+
     def test_compare_with_a_missing_later_log(self, simulated_log, capsys):
         code, stdout, _ = run(capsys, "compare", simulated_log, MISSING, *GRIDS)
         assert (code, stdout) == (2, "")
@@ -409,6 +443,21 @@ class TestUsageErrorsBeforeInput:
         assert code == 1
         assert stdout == ""
         assert err.startswith("tagstab: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", MISSING),
+        ("rbo", MISSING),
+        ("kl", MISSING),
+        ("proportions", MISSING),
+        ("ccdf", MISSING),
+        ("powerlaw", MISSING),
+        ("surface", MISSING, *GRIDS),
+        ("compare", MISSING, MISSING, *GRIDS),
+    ])
+    def test_empty_delimiter(self, capsys, argv):
+        code, stdout, err = run(capsys, *argv, "--delimiter=")
+        assert (code, stdout) == (1, "")
+        assert "argument --delimiter: must not be empty" in err
 
     def test_missing_file_with_good_arguments_is_data_error(self, capsys):
         assert run(capsys, "rbo", MISSING, "--window", "5")[0] == 2
@@ -492,17 +541,19 @@ class TestExitCodes:
 
 
 def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes about half a second to import and no command needs it.
+    # scipy.stats takes about half a second to import and no command needs
+    # it; scipy.optimize pulls in scipy.linalg and scipy.sparse, and the
+    # power-law fits carry their own ports of its two searches.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     probe = (
         "import sys, tagstab.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy.special', 'scipy.optimize', 'scipy.stats') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('numpy', 'scipy.special', 'scipy.optimize', 'scipy.stats', "
+        "'scipy.linalg', 'scipy.sparse') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "['numpy', 'scipy.optimize', 'scipy.special']"
+    assert result.stdout.strip() == "['numpy', 'scipy.special']"

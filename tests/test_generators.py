@@ -69,6 +69,14 @@ class TestLoadBackground:
         with pytest.raises(IngestionError):
             load_background([])
 
+    def test_overflowing_total_is_ingestion_error(self):
+        with pytest.raises(IngestionError, match="add up to more than a float holds"):
+            load_background([("a", 1e308), ("b", 1e308)])
+
+    def test_overflowing_merged_count_reports_row(self):
+        with pytest.raises(IngestionError, match="row 2: the counts of 'a'"):
+            load_background([("a", 1e308), ("A", 1e308)])
+
     def test_case_variants_are_merged(self):
         bg = load_background([("The", 3), ("the", 1), ("cat", 4)])
         assert bg.support == ("the", "cat")

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from tagstab import (
@@ -125,6 +127,31 @@ class TestTagLog:
         with pytest.raises(OSError):
             ingest_tag_log(tmp_path / "absent.tsv")
 
+    def test_collector_state_is_restored(self, tmp_path):
+        # The reader pauses the cyclic collector; it must leave it as found,
+        # also when the read fails.
+        log = write(tmp_path / "log.tsv", "resource_id\ttag\tseq\tuser_id\nr1\ta\t1\tu\n")
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"resource_id\ttag\tseq\nr1\t\xff\t1\n")
+        assert gc.isenabled()
+        ingest_tag_log(log)
+        assert gc.isenabled()
+        with pytest.raises(IngestionError):
+            ingest_tag_log(bad)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            ingest_tag_log(log)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        log = tmp_path / "bad.tsv"
+        log.write_bytes(b"resource_id\ttag\tseq\nr1\t\xff\t1\n")
+        with pytest.raises(IngestionError, match=r"bad\.tsv is not UTF-8 text"):
+            ingest_tag_log(log)
+
     def test_report_length_statistics(self, tmp_path):
         log = write(
             tmp_path / "log.tsv",
@@ -204,6 +231,12 @@ class TestTextCorpus:
         with pytest.raises(IngestionError):
             ingest_text_corpus(corpus)
 
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        corpus = tmp_path / "texts.tsv"
+        corpus.write_bytes(b"resource_id\tseq\ttext\nr1\t1\tcaf\xe9\n")
+        with pytest.raises(IngestionError, match=r"texts\.tsv is not UTF-8 text"):
+            ingest_text_corpus(corpus)
+
     def test_bad_rows_are_skipped_and_first_seq_wins(self, tmp_path):
         corpus = write(tmp_path / "texts.tsv", BAD_TEXT_ROWS)
         (stream,), _ = ingest_text_corpus(corpus)
@@ -248,4 +281,10 @@ class TestBackgroundFile:
     def test_negative_count_rejected(self, tmp_path):
         table = write(tmp_path / "bg.tsv", "cats\t-2\n")
         with pytest.raises(IngestionError):
+            read_background_file(table)
+
+    def test_invalid_utf8_names_the_file(self, tmp_path):
+        table = tmp_path / "bg.tsv"
+        table.write_bytes(b"cats\t3\n\xc3\t1\n")
+        with pytest.raises(IngestionError, match=r"bg\.tsv is not UTF-8 text"):
             read_background_file(table)

@@ -18,8 +18,11 @@ from tagstab import (
     generate_corpus,
     generate_stream,
 )
+import tagstab.powerlaw
 from tagstab.powerlaw import (
+    _bounded_brent,
     _ks_distance,
+    _nelder_mead,
     _power_logpdf,
     _ratio_test,
     _stretched_exponential_fit,
@@ -365,3 +368,157 @@ def test_alternatives_on_the_power_law_boundary_read_ratio_zero():
     for reference in (reference_lognormal_fit, reference_stretched_fit):
         terms, converged = reference(tail, lower)
         assert converged and float(np.sum(power_terms - terms)) > 0.0
+
+
+# The ports of scipy's two searches against scipy.optimize itself: the same
+# optimum, bit for bit, and the same success flag.
+
+
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
+def scipy_nelder_mead(function, start, xatol, fatol, maxiter):
+    # errstate: scipy's stop test computes inf - inf when vertices tie at inf.
+    with np.errstate(all="ignore"):
+        result = optimize.minimize(
+            lambda p: function(float(p[0]), float(p[1])),
+            np.array(start, dtype=float),
+            method="Nelder-Mead",
+            options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter},
+        )
+    return tuple(result.x), bool(result.success)
+
+
+def scipy_bounded(function, lower, upper, xatol, maxfun=500):
+    with np.errstate(all="ignore"):
+        result = optimize.minimize_scalar(
+            function, bounds=(lower, upper), method="bounded",
+            options={"xatol": xatol, "maxiter": maxfun},
+        )
+    return result.x, bool(result.success)
+
+
+def assert_nelder_mead_matches(function, start, xatol=1e-8, fatol=1e-8, maxiter=5000):
+    point, success = _nelder_mead(function, start, xatol=xatol, fatol=fatol, maxiter=maxiter)
+    expected, expected_success = scipy_nelder_mead(function, start, xatol, fatol, maxiter)
+    assert bits(*point) == bits(*expected)
+    assert success == expected_success
+    return success
+
+
+def assert_brent_matches(function, lower, upper, xatol=1e-8, maxfun=500):
+    x, success = _bounded_brent(function, lower, upper, xatol=xatol, maxfun=maxfun)
+    expected, expected_success = scipy_bounded(function, lower, upper, xatol, maxfun)
+    assert bits(x) == bits(expected)
+    assert success == expected_success
+    return x, success
+
+
+def mixture_stream_samples():
+    config = GeneratorConfig(
+        model="mixture", imitation_rate=0.7, vocabulary_size=100_000,
+        zipf_exponent=1.0, length=3000, n_streams=16, seed=42,
+    )
+    return [sorted(Counter(generate_stream(config, i).tags).values()) for i in range(16)]
+
+
+@pytest.fixture(scope="module")
+def port_samples():
+    samples = [DIFFERENTIAL_SAMPLES[name]() for name in sorted(DIFFERENTIAL_SAMPLES)]
+    rng = np.random.default_rng(11)
+    samples += [np.ceil(rng.pareto(1.2, 400) + 1).astype(int).tolist() for _ in range(4)]
+    samples += [np.ceil(rng.lognormal(1.0, 1.2, 400)).astype(int).tolist() for _ in range(4)]
+    return samples + mixture_stream_samples()
+
+
+class TestPortsAgainstScipy:
+    def test_fits_on_sample_tails(self, port_samples, monkeypatch):
+        # Every search compare_distributions makes runs through scipy too,
+        # on the fit's own objective and arguments.
+        calls = Counter()
+
+        def nelder_mead(function, start, **options):
+            calls["nelder_mead"] += 1
+            assert_nelder_mead_matches(function, start, **options)
+            return _nelder_mead(function, start, **options)
+
+        def bounded_brent(function, lower, upper, **options):
+            calls["bounded_brent"] += 1
+            assert_brent_matches(function, lower, upper, **options)
+            return _bounded_brent(function, lower, upper, **options)
+
+        monkeypatch.setattr(tagstab.powerlaw, "_nelder_mead", nelder_mead)
+        monkeypatch.setattr(tagstab.powerlaw, "_bounded_brent", bounded_brent)
+        for sample in port_samples:
+            compare_distributions(sample, fit_power_law(sample))
+        assert calls == {"nelder_mead": len(port_samples), "bounded_brent": len(port_samples)}
+
+    @pytest.mark.parametrize("start", [(1.0, 1.0), (0.9, 1.0), (1.0, -1.0)])
+    def test_nelder_mead_with_infinite_vertices(self, start):
+        # Vertices past 1.02 in either coordinate are infinite: the initial
+        # simplex ties at inf and the sort must keep scipy's order.
+        def walled(x, y):
+            if x > 1.02 or y > 1.02:
+                return math.inf
+            return (x - 3.0) ** 2 + (y + 1.0) ** 2 + x * y / 10.0
+
+        assert_nelder_mead_matches(walled, start)
+
+    def test_nelder_mead_all_infinite_never_converges(self):
+        # Every difference in the stop test is inf - inf = NaN, which fails it.
+        assert not assert_nelder_mead_matches(lambda x, y: math.inf, (1.0, 2.0), maxiter=60)
+
+    def test_nelder_mead_nan_vertices(self):
+        # NaN on a ring around the minimum: NaN vertices sort last, and the
+        # fatol test fails while the worst vertex is NaN, as np.max does.
+        def ringed(x, y):
+            if abs(x * x + y * y - 1.0) < 0.5:
+                return math.nan
+            return (x - 0.3) ** 2 + (y + 0.2) ** 2
+
+        assert assert_nelder_mead_matches(ringed, (0.5, 0.5), maxiter=400)
+
+    @pytest.mark.parametrize("start", [(0.0, 2.0), (-1.5, 0.0), (0.0, 0.0)])
+    def test_nelder_mead_zero_start_coordinate(self, start):
+        assert assert_nelder_mead_matches(
+            lambda x, y: (x - 0.7) ** 2 + 3.0 * (y - 0.2) ** 2 + x * y, start
+        )
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 20])
+    def test_nelder_mead_stops_unconverged_at_maxiter(self, maxiter):
+        def rosenbrock(x, y):
+            return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+
+        assert not assert_nelder_mead_matches(rosenbrock, (-1.2, 1.0), maxiter=maxiter)
+        assert assert_nelder_mead_matches(rosenbrock, (-1.2, 1.0))
+
+    def test_brent_parabolic_steps(self):
+        x, success = assert_brent_matches(lambda x: (x - 0.3) ** 2 + math.sin(3.0 * x), -2.0, 2.0)
+        assert success
+
+    def test_brent_golden_steps(self):
+        # A kink defeats the parabola, so most steps are golden sections.
+        x, success = assert_brent_matches(lambda x: abs(x - 0.3) + 0.1 * (x > 0.3), -1.0, 4.0)
+        assert success and x == pytest.approx(0.3, abs=1e-6)
+
+    @pytest.mark.parametrize("center", [1e-8, 1.0 - 1e-8])
+    def test_brent_clamps_near_a_bound(self, center):
+        # A parabolic step lands within tol2 of a bound and is clamped to
+        # tol1 towards the middle of the interval.
+        x, success = assert_brent_matches(lambda x: (x - center) ** 2, 0.0, 1.0)
+        assert success and x == pytest.approx(center, abs=1e-7)
+
+    def test_brent_call_limit(self):
+        # Near 0 the tolerance is about xatol / 3 = 3e-301, which 500 calls
+        # do not reach.
+        assert not assert_brent_matches(abs, -1.0, 1.0, xatol=1e-300)[1]
+        assert not assert_brent_matches(lambda x: (x - 0.3) ** 2, -2.0, 2.0, maxfun=3)[1]
+
+    @pytest.mark.parametrize("hole", [-1.0, -0.35])
+    def test_brent_nan_objective_fails(self, hole):
+        # NaN past the hole: at -1 the first call is NaN, at -0.35 the last.
+        def holed(x):
+            return math.nan if x > hole else (x - 0.7) ** 2
+
+        assert not assert_brent_matches(holed, -2.0, 2.0)[1]
