@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import locale  # noqa: F401  argparse's gettext imports it on the first message otherwise
 import math
 import sys
 from pathlib import Path

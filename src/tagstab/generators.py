@@ -14,6 +14,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, on the first draw otherwise
 
 from .errors import IngestionError, ParameterError
 from .streams import TagStream

@@ -120,7 +120,8 @@ def _read_rows(
     Rows are rejected and counted, in this order of precedence, as "blank
     line", "field count mismatch", "empty resource_id", "empty tag",
     "invalid seq" and "duplicate seq"; the first row wins a (resource, seq)
-    pair, and only a row accepted so far claims its seq.
+    pair, and only a row accepted so far claims its seq.  A seq is valid if
+    it is ASCII digits with a value of at least 1.
     """
     by_resource: dict[str, dict[int, object]] = {}
     with _open_utf8(path) as handle, _collector_paused():
@@ -149,9 +150,9 @@ def _read_rows(
             if value is None:
                 rejected["empty tag"] += 1
                 continue
-            try:
-                seq = int(parts[seq_column])
-            except ValueError:
+            raw_seq = parts[seq_column]
+            # int() alone would also take signs, spaces, "1_0" and non-ASCII digits.
+            if not (raw_seq.isascii() and raw_seq.isdigit()) or (seq := int(raw_seq)) < 1:
                 rejected["invalid seq"] += 1
                 continue
             seqs = by_resource.get(resource_id)
@@ -176,8 +177,9 @@ def ingest_tag_log(
     """Load a tag log into per-resource streams plus a load report.
 
     The first matching row wins on duplicate (resource, seq) pairs; rows
-    with an empty tag after normalization, a non-integer seq, or the wrong
-    field count are rejected and counted.  A file yielding zero accepted
+    with an empty tag after normalization, a seq that is not a positive
+    integer in ASCII digits, or the wrong field count are rejected and
+    counted.  A file yielding zero accepted
     rows is an error.  Each distinct tag or user id is one string object.
     """
     interned: dict[str, str] = {}

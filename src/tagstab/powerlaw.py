@@ -18,13 +18,19 @@ likelihood depends on the tail only through n, sum(log x) and the sum of
 squares of log x, and the stretched exponential's scale has a closed form for
 each shape, which leaves a one-dimensional profile likelihood.
 
-Only ``scipy.special`` is imported.  The two searches are ports of scipy
-1.17's Nelder-Mead simplex (``_nelder_mead``) and bounded Brent search
+No scipy is imported.  The two searches are ports of scipy 1.17's
+Nelder-Mead simplex (``_nelder_mead``) and bounded Brent search
 (``_bounded_brent``) onto Python floats: the same steps in the same
 floating-point order, so they return the same bits as
 ``scipy.optimize.minimize(method="Nelder-Mead")`` and
-``minimize_scalar(method="bounded")``, and the results no longer depend on
-the installed scipy's optimizer.
+``minimize_scalar(method="bounded")``.  The special functions come from
+``math`` or are computed here: the Hurwitz zeta of the KS scan by one
+Euler-Maclaurin sum (``_hurwitz_zeta``, as in Cephes ``zeta``) and the
+recurrence zeta(s, k) = zeta(s, k + 1) + k^-s below it, over at most 2048
+integers above the cutoff, and by the Euler-Maclaurin series alone at tail
+values beyond those (``_zeta_at``); log Phi of the lognormal's truncation
+from ``math.erfc`` with an asymptotic series in the far lower tail
+(``_log_ndtr``); and the p-values from ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
 
@@ -97,6 +102,117 @@ def _as_sample(sample: Sequence[float]) -> np.ndarray:
     return np.sort(x)
 
 
+# Cephes zeta: machine epsilon and the Euler-Maclaurin divisors (2k)! / B_2k.
+_MACHEP = 1.11022302462515654042e-16
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+
+
+def _hurwitz_zeta(s: float, q: float) -> float:
+    """Hurwitz zeta(s, q) = sum over k >= 0 of (q + k)^-s, for s > 1 and
+    q >= 1.
+
+    A port of Cephes ``zeta``, as scipy 1.17 evaluates it: at least nine
+    terms summed directly, then the Euler-Maclaurin remainder with up to
+    twelve Bernoulli terms, each step in Cephes' order.  A sum that
+    underflows to 0 stays 0, where Cephes divides 0 by 0 and tests NaN.
+    """
+    total = q ** -s
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -s
+        total += b
+        if total != 0.0 and abs(b / total) < _MACHEP:
+            return total
+    w = a
+    total += b * w / (s - 1.0)
+    total -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for divisor in _ZETA_A:
+        a *= s + k
+        b /= w
+        t = a * b / divisor
+        total = total + t
+        if total != 0.0 and abs(t / total) < _MACHEP:
+            break
+        k += 1.0
+        a *= s + k
+        b /= w
+        k += 1.0
+    return total
+
+
+# Keys further than this above the smallest are not tabulated: summing the
+# Euler-Maclaurin series at each of them costs less than the table would.
+_TABLE_SPAN = 2048
+
+
+def _zeta_at(s: float, keys: np.ndarray) -> np.ndarray:
+    """zeta(s, k) for an integer array ``keys``, each at least ``keys[0]``
+    (and at least 1).
+
+    Keys up to ``keys[0] + _TABLE_SPAN`` come from a table by the recurrence
+    zeta(s, k) = zeta(s, k + 1) + k^-s, started from one Euler-Maclaurin sum
+    just above the table (``_hurwitz_zeta``).  The terms are summed smallest
+    first, and that sum, which dominates as s nears 1, is added last.  Keys
+    beyond the table, which only tails spread over thousands of integers
+    have, get the Euler-Maclaurin series alone (``_zeta_far``).
+    """
+    lo = int(keys[0])
+    hi = int(keys.max())
+    top = min(hi, lo + _TABLE_SPAN)
+    beyond = _hurwitz_zeta(s, top + 1.0)
+    terms = np.arange(top, lo - 1, -1, dtype=float) ** -s
+    table = (beyond + np.cumsum(terms))[::-1]
+    if hi == top:
+        return table[keys - lo]
+    near = keys <= top
+    zeta = np.zeros(keys.size)
+    zeta[near] = table[keys[near] - lo]
+    if beyond > 0.0:
+        # Else every key beyond underflows, as zeta(s, top + 1) bounds them.
+        zeta[~near] = _zeta_far(s, keys[~near].astype(float))
+    return zeta
+
+
+def _zeta_far(s: float, q: np.ndarray) -> np.ndarray:
+    """zeta(s, q) by the Euler-Maclaurin series with no term summed
+    directly:  q^-s (q / (s - 1) + 1/2 + sum over j of
+    s (s + 1) ... (s + 2j - 2) q^(1 - 2j) / _ZETA_A[j - 1]).
+
+    For q above 2048 and zeta(s, q) above the smallest float, s is below
+    100, so the first Bernoulli term is below 2e-4 of the sum, each next one
+    is at least 1e4 times smaller, and the fifth, left out, is below 1e-20.
+    """
+    coefficients = []
+    rising = s
+    for j, divisor in enumerate(_ZETA_A[:4]):
+        coefficients.append(rising / divisor)
+        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
+    inverse_square = 1.0 / (q * q)
+    series = coefficients[-1]
+    for coefficient in reversed(coefficients[:-1]):
+        series = coefficient + inverse_square * series
+    return q ** -s * (q / (s - 1.0) + 0.5 + series / q)
+
+
 def _ks_distance(values: np.ndarray, counts: np.ndarray, alpha: float) -> float:
     """Max deviation between a tail's empirical distribution and the
     fitted discrete power law P(X >= x) = zeta(alpha, x) / zeta(alpha, xmin).
@@ -107,18 +223,19 @@ def _ks_distance(values: np.ndarray, counts: np.ndarray, alpha: float) -> float:
     above each gap is checked, where the empirical survival function has
     already stepped down but the model has not yet decayed.
     """
-    n = counts.sum()
-    at_least = (n - np.concatenate(([0], np.cumsum(counts)[:-1]))) / n
-    norm = special.zeta(alpha, values[0])
-    # A steep tail underflows zeta to 0 and makes every ratio 0/0 = NaN; the
-    # caller rejects that candidate, so the division stays quiet.
-    with np.errstate(invalid="ignore"):
-        deviation = np.abs(special.zeta(alpha, values) / norm - at_least)
-        gaps = values[1:] > values[:-1] + 1
-        if np.any(gaps):
-            after = special.zeta(alpha, values[:-1][gaps] + 1) / norm
-            deviation = np.concatenate((deviation, np.abs(after - at_least[1:][gaps])))
-    return float(np.max(deviation))
+    at_or_above = np.cumsum(counts[::-1])[::-1]
+    at_least = at_or_above / at_or_above[0]
+    keys = values.astype(np.intp)
+    # The integer just above a value that no gap follows is the next value,
+    # already counted, so every value's successor can be checked.
+    zeta = _zeta_at(alpha, np.concatenate((keys, keys[:-1] + 1)))
+    norm = zeta[0]
+    if norm == 0.0:
+        # A steep tail underflows zeta to 0, which leaves no finite
+        # distance; the caller rejects the candidate.
+        return math.nan
+    empirical = np.concatenate((at_least, at_least[1:]))
+    return float(np.max(np.abs(zeta / norm - empirical)))
 
 
 def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
@@ -345,6 +462,32 @@ def _direction(value: float) -> float:
     return math.nan
 
 
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _log_ndtr(z: float) -> float:
+    """log Phi(z), the log of the standard normal distribution function.
+
+    Above z = -1, log1p(-Phi(-z)) keeps the precision that log(Phi(z))
+    would lose as Phi(z) nears 1.  From -20 to -1, log(Phi(z)) itself.
+    Below -20, where erfc would soon underflow, the asymptotic series
+    Phi(z) ~ phi(z) / -z * (1 - 1/z^2 + 3/z^4 - 15/z^6 + ...) of Cephes
+    ``ndtr``, summed until a term falls below the precision of its sum.
+    """
+    if z > -1.0:
+        return math.log1p(-0.5 * math.erfc(z * _SQRT1_2))
+    if z >= -20.0:
+        return math.log(0.5 * math.erfc(-z * _SQRT1_2))
+    inverse_square = 1.0 / (z * z)
+    term = series = 1.0
+    i = 0
+    while abs(term) > _MACHEP:
+        i += 1
+        term *= -(2 * i - 1) * inverse_square
+        series += term
+    return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
+
+
 def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
     """Lognormal truncated to [lower, infinity), fitted by Nelder-Mead over
     (mu, log sigma).
@@ -365,7 +508,7 @@ def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
     def negative_loglik(mu: float, log_sigma: float) -> float:
         try:
             sigma = math.exp(log_sigma)
-            log_tail = float(special.log_ndtr((mu - log_lower) / sigma))
+            log_tail = _log_ndtr((mu - log_lower) / sigma)
             value = (
                 constant
                 + n * (log_sigma + log_tail)
@@ -386,7 +529,7 @@ def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
             - log_sigma
             - 0.5 * math.log(2.0 * math.pi)
             - 0.5 * ((log_x - mu) / sigma) ** 2
-            - special.log_ndtr((mu - log_lower) / sigma)
+            - _log_ndtr((mu - log_lower) / sigma)
         )
     return terms, converged
 
@@ -444,9 +587,7 @@ def _ratio_test(power_terms: np.ndarray, other_terms: np.ndarray) -> RatioTest:
     sigma = float(np.sqrt(np.mean((differences - np.mean(differences)) ** 2)))
     if sigma == 0.0:
         return RatioTest(ratio, 1.0 if ratio == 0.0 else 0.0)
-    p_value = float(
-        special.erfc(abs(ratio) / (math.sqrt(2.0 * differences.size) * sigma))
-    )
+    p_value = math.erfc(abs(ratio) / (math.sqrt(2.0 * differences.size) * sigma))
     return RatioTest(ratio, p_value)
 
 

@@ -540,20 +540,44 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats takes about half a second to import and no command needs
-    # it; scipy.optimize pulls in scipy.linalg and scipy.sparse, and the
-    # power-law fits carry their own ports of its two searches.
+def source_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy is a test-only dependency: the power-law fits carry their own
+    # searches and special functions, so no scipy module may load.
     probe = (
         "import sys, tagstab.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy.special', 'scipy.optimize', 'scipy.stats', "
-        "'scipy.linalg', 'scipy.sparse') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "['numpy', 'scipy.special']"
+    assert result.stdout.strip() == "[]"
+
+
+def test_power_law_commands_run_with_scipy_blocked(tmp_path):
+    # With sys.modules['scipy'] = None any scipy import raises ImportError.
+    log = str(tmp_path / "sim.tsv")
+    assert main(["simulate", "--model", "mixture", "--imitation-rate", "0.7", "--vocab", "500",
+                 "--length", "400", "--streams", "3", "--seed", "5", "--out", log]) == 0
+    runs = [["powerlaw", log, "--per-resource"], ["powerlaw", log, "--pooled"], ["ccdf", log]]
+    script = (
+        "import sys, tagstab.cli; "
+        f"sys.exit(max(tagstab.cli.main(argv) for argv in {runs!r}))"
+    )
+    outputs = []
+    for block in ("", "import sys; sys.modules['scipy'] = None; "):
+        result = subprocess.run(
+            [sys.executable, "-c", block + script], env=source_env(), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("resource_id,") == 3

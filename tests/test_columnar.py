@@ -38,8 +38,8 @@ def reference_ingest(path):
         fields = dict(zip(names, line.split("\t")))
         resource = fields.get("resource_id", "").strip()
         tag = fields.get("tag", "").strip().lower()
-        seq = fields.get("seq", "").strip()
-        seq = int(seq) if seq.lstrip("+-").isdigit() and seq.isascii() else None
+        seq = fields.get("seq", "")
+        seq = int(seq) if seq.isdigit() and seq.isascii() and int(seq) >= 1 else None
         if not line:
             rejected["blank line"] += 1
         elif len(line.split("\t")) != len(names):

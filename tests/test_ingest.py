@@ -257,6 +257,27 @@ class TestTextCorpus:
         assert (report.streams_loaded, report.assignments_loaded) == (1, 2)
 
 
+# Forms int() takes that are not a seq: an underscore, an Arabic-Indic
+# digit, surrounding spaces, a sign, and values below 1.
+NOT_A_SEQ = ["1_0", "\u0661", " 7 ", "+2", "0", "-3"]
+
+
+@pytest.mark.parametrize("seq", NOT_A_SEQ)
+def test_tag_log_rejects_seq(tmp_path, seq):
+    log = write(tmp_path / "log.tsv", f"resource_id\ttag\tseq\nr1\tkept\t1\nr1\tbad\t{seq}\n")
+    (stream,), report = ingest_tag_log(log)
+    assert stream.tags == ("kept",)
+    assert report.reject_reasons == {"invalid seq": 1}
+
+
+@pytest.mark.parametrize("seq", NOT_A_SEQ)
+def test_text_corpus_rejects_seq(tmp_path, seq):
+    corpus = write(tmp_path / "texts.tsv", f"resource_id\tseq\ttext\nr1\t1\tkept\nr1\t{seq}\tbad\n")
+    (stream,), report = ingest_text_corpus(corpus)
+    assert stream.tags == ("kept",)
+    assert report.reject_reasons == {"invalid seq": 1}
+
+
 class TestBackgroundFile:
     def test_reads_counts(self, tmp_path):
         table = write(tmp_path / "bg.tsv", "cats\t3\ndogs\t1\n")

@@ -21,11 +21,15 @@ from tagstab import (
 import tagstab.powerlaw
 from tagstab.powerlaw import (
     _bounded_brent,
+    _hurwitz_zeta,
     _ks_distance,
+    _log_ndtr,
     _nelder_mead,
     _power_logpdf,
     _ratio_test,
     _stretched_exponential_fit,
+    _zeta_at,
+    _zeta_far,
 )
 
 
@@ -522,3 +526,129 @@ class TestPortsAgainstScipy:
             return math.nan if x > hole else (x - 0.7) ** 2
 
         assert not assert_brent_matches(holed, -2.0, 2.0)[1]
+
+
+# The special functions against scipy.special, a test-only dependency.  The
+# relative bounds were set by measurement: the largest errors seen over a
+# few hundred thousand points were 0 (zeta), 1.6e-15 (zeta by the table
+# and the series beyond it, above 1e-290), 6.2e-16 (that series alone),
+# 6.7e-16 (log Phi below -1), 1.8e-15 (log Phi on (-1, 5]) and 5.7e-14
+# (log Phi above 5 and erfc above 8, in erfc's far tail), 4.4e-15 (erfc on
+# [0, 8]).  Values below the smallest normal float are compared absolutely.
+
+TINY = np.finfo(float).tiny
+
+
+def assert_close(got, expected, bound, floor=TINY):
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    normal = np.abs(expected) >= floor
+    error = np.abs(got[normal] - expected[normal]) / np.abs(expected[normal])
+    assert error.max(initial=0.0) <= bound
+    assert np.all(np.abs(got[~normal] - expected[~normal]) <= floor)
+
+
+def near(edge, width, count=201):
+    return np.concatenate(
+        (np.linspace(edge - width, edge + width, count), [np.nextafter(edge, -np.inf), edge,
+                                                          np.nextafter(edge, np.inf)])
+    )
+
+
+class TestSpecialFunctionsAgainstScipy:
+    def test_hurwitz_zeta(self):
+        rng = np.random.default_rng(0)
+        s = np.concatenate(
+            (1 + 10.0 ** rng.uniform(-12, 0, 400), rng.uniform(1, 200, 400), [1 + 2**-40, 200.0])
+        )
+        q = np.floor(10.0 ** rng.uniform(0, 6, s.size))
+        q[:3] = [1.0, 9.0, 1e6]
+        got = [_hurwitz_zeta(float(a), float(b)) for a, b in zip(s, q)]
+        assert_close(got, special.zeta(s, q), 4e-16)
+
+    @pytest.mark.parametrize(
+        "s", [1 + 1e-12, 1 + 1e-6, 1.01, 1.5, 2.0, 2.5, 5.0, 30.0, 97.0, 98.0, 200.0]
+    )
+    def test_zeta_at(self, s):
+        # Where zeta(s, k) is near the smallest normal float its terms are
+        # subnormal and lose digits, in scipy as here: compared absolutely.
+        # Spans past _TABLE_SPAN reach the series beyond the table.
+        for lo, hi in [(1, 1), (1, 2000), (9, 11), (1, 2049), (1, 2050), (3, 6000),
+                       (995_000, 1_000_000)]:
+            keys = np.arange(lo, hi + 1)
+            assert_close(_zeta_at(s, keys), special.zeta(s, keys.astype(float)), 1e-14,
+                         floor=1e-290)
+
+    @pytest.mark.parametrize("s", [1 + 1e-9, 2.2])
+    def test_zeta_at_over_a_million_values(self, s):
+        keys = np.arange(5, 1_000_001)
+        assert_close(_zeta_at(s, keys), special.zeta(s, keys.astype(float)), 1e-14)
+
+    def test_zeta_at_sparse_keys(self):
+        # A tail's distinct values and their successors, in the scan's order.
+        rng = np.random.default_rng(3)
+        for s in [1 + 1e-9, 1.3, 2.5, 60.0]:
+            values = np.unique(np.floor(10.0 ** rng.uniform(0, 7, 300)).astype(np.intp))
+            keys = np.concatenate((values, values[:-1] + 1))
+            assert_close(_zeta_at(s, keys), special.zeta(s, keys.astype(float)), 1e-14,
+                         floor=1e-290)
+
+    def test_zeta_far(self):
+        q = np.arange(2049.0, 10.0**7, 997.0)
+        for s in [1 + 1e-12, 1.01, 2.0, 4.5, 40.0, 97.0]:
+            assert_close(_zeta_far(s, q), special.zeta(s, q), 2e-15)
+
+    def test_log_ndtr(self):
+        rng = np.random.default_rng(1)
+        z = np.concatenate(
+            (rng.uniform(-1e3, 40, 20_000), rng.uniform(-25, 8, 20_000), near(-1.0, 1e-4),
+             near(-20.0, 1e-4), [-1e3, 40.0, 0.0])
+        )
+        got = np.array([_log_ndtr(float(v)) for v in z])
+        expected = special.log_ndtr(z)
+        for lo, hi, bound in [(-np.inf, -1.0, 2e-15), (-1.0, 5.0, 5e-15), (5.0, np.inf, 1e-13)]:
+            part = (z > lo) & (z <= hi) if lo > -np.inf else z <= hi
+            assert_close(got[part], expected[part], bound)
+
+    def test_log_ndtr_at_the_ends(self):
+        assert _log_ndtr(-math.inf) == -math.inf
+        assert _log_ndtr(math.inf) == 0.0
+        assert math.isnan(_log_ndtr(math.nan))
+
+    def test_erfc_over_the_p_value_range(self):
+        # p = erfc(|R| / (sqrt(2 n) sigma)) underflows past an argument of 27.
+        x = np.random.default_rng(2).uniform(0, 27, 20_000)
+        got = np.array([math.erfc(float(v)) for v in x])
+        assert_close(got[x <= 8], special.erfc(x[x <= 8]), 1e-14)
+        assert_close(got[x > 8], special.erfc(x[x > 8]), 1e-13)
+
+
+def scipy_ks_distance(values, counts, alpha):
+    """The KS distance with scipy's zeta evaluated at every value and gap
+    point: the reference for ``_ks_distance``."""
+    n = counts.sum()
+    at_least = (n - np.concatenate(([0], np.cumsum(counts)[:-1]))) / n
+    norm = special.zeta(alpha, values[0])
+    with np.errstate(invalid="ignore"):
+        deviation = np.abs(special.zeta(alpha, values) / norm - at_least)
+        gaps = values[1:] > values[:-1] + 1
+        if np.any(gaps):
+            after = special.zeta(alpha, values[:-1][gaps] + 1) / norm
+            deviation = np.concatenate((deviation, np.abs(after - at_least[1:][gaps])))
+    return float(np.max(deviation))
+
+
+def printed(fit):
+    return [f"{value:#.6g}" for value in (fit.alpha, fit.xmin, fit.ks_distance)] + [fit.n_tail]
+
+
+def test_scan_prints_as_with_scipy_zeta(port_samples, oracle_sample, monkeypatch):
+    # The last sample's tails spread over millions of integers, far past
+    # the zeta table.
+    wide = draw_discrete_power_law(1.7, 1, 3000, np.random.default_rng(4))
+    samples = port_samples + [oracle_sample, wide]
+    fits = [fit_power_law(sample) for sample in samples]
+    monkeypatch.setattr(tagstab.powerlaw, "_ks_distance", scipy_ks_distance)
+    for sample, fit in zip(samples, fits):
+        reference = fit_power_law(sample)
+        assert printed(fit) == printed(reference)
+        assert fit.ks_distance == pytest.approx(reference.ks_distance, rel=1e-12)
