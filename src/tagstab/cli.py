@@ -13,6 +13,7 @@ import json
 import locale  # noqa: F401  argparse's gettext imports it on the first message otherwise
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .measures import (
 )
 from .powerlaw import ccdf, compare_distributions, fit_power_law
 from .stability import _surface_arguments, stability_surface
-from .streams import _check_window, _checkpoints, snapshot
+from .streams import _by_count, _check_window, _checkpoints, snapshot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,9 +120,7 @@ def _cmd_proportions(args) -> int:
     out = _writer()
     out.writerow(["resource_id", "t", "tag", "proportion"])
     for stream in streams:
-        final = snapshot(stream, len(stream)).counts
-        top = sorted(final.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
-        tags = [tag for tag, _ in top]
+        tags = _by_count(snapshot(stream, len(stream)).counts)[: args.top]
         for t, counts, _, _ in _checkpoints(stream, args.window):
             for tag in tags:
                 out.writerow(
@@ -316,7 +315,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    background = read_background_file(args.background) if args.background else None
     config = GeneratorConfig(
         model=args.model,
         length=args.length,
@@ -325,8 +323,10 @@ def _cmd_simulate(args) -> int:
         imitation_rate=args.imitation_rate,
         vocabulary_size=args.vocab,
         zipf_exponent=args.zipf_s,
-        background=background,
     )
+    # Checked before the table is read; replace() checks again with it.
+    if args.background:
+        config = replace(config, background=read_background_file(args.background))
     write_tag_log(generate_corpus(config), args.out)
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily, on the first draw otherwise
 
 from .errors import IngestionError, ParameterError
-from .streams import TagStream
+from .streams import TagStream, normalize_tag
 
 MODELS = ("random_uniform", "imitation", "background", "mixture")
 
@@ -89,7 +89,7 @@ def load_background(rows: Iterable[tuple[str, float]]) -> BackgroundDistribution
     """
     totals: dict[str, float] = {}
     for row_number, (token, count) in enumerate(rows, start=1):
-        token = token.strip().lower()
+        token = normalize_tag(token)
         if not token:
             raise IngestionError(f"row {row_number}: empty token")
         if not math.isfinite(count) or count < 0:

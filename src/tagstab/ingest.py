@@ -216,13 +216,14 @@ def ingest_tag_log(
     return streams, _report(streams, rejected)
 
 
+def _tokens(text: str, drop: set[str]) -> list[str]:
+    """``tokenize`` with the stopwords already normalized into ``drop``."""
+    return [token for token in _TOKEN_RE.findall(text.lower()) if token not in drop]
+
+
 def tokenize(text: str, stopwords: Iterable[str] | None = None) -> list[str]:
     """Lowercase and split on runs of non-letter/non-digit characters."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    if stopwords is None:
-        return tokens
-    drop = {normalize_tag(w) for w in stopwords}
-    return [t for t in tokens if t not in drop]
+    return _tokens(text, {normalize_tag(w) for w in stopwords or ()})
 
 
 def ingest_text_corpus(
@@ -240,7 +241,7 @@ def ingest_text_corpus(
     rejected and counted as in ``ingest_tag_log``, which has the one extra
     reason "empty tag".
     """
-    drop = {normalize_tag(w) for w in stopwords} if stopwords is not None else set()
+    drop = {normalize_tag(w) for w in stopwords or ()}
     interned: dict[str, str] = {}
 
     def make_parse(columns):
@@ -249,8 +250,7 @@ def ingest_text_corpus(
         def parse(parts):
             return [
                 interned.setdefault(token, token)
-                for token in _TOKEN_RE.findall(parts[text_column].lower())
-                if token not in drop
+                for token in _tokens(parts[text_column], drop)
             ]
 
         return parse

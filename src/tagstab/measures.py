@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
-from .streams import RankedList, TagStream, _check_window, _checkpoints
+from .streams import RankedList, TagStream, _check_window, _checkpoints, _ranks_by_count
 
 VARIANTS = ("plain", "tie_aware", "tie_corrected")
 
@@ -154,16 +154,6 @@ def rbo(l1: RankedList, l2: RankedList, params: RboParams | None = None) -> floa
     return _run_sum(events, params)
 
 
-def _ranks_by_count(histogram: dict[int, int]) -> dict[int, int]:
-    """Competition rank of each count: 1 + the number of tags above it."""
-    ranks = {}
-    above = 0
-    for count in sorted(histogram, reverse=True):
-        ranks[count] = above + 1
-        above += histogram[count]
-    return ranks
-
-
 def _window_events(then, now, counts: dict[str, int], before: dict[str, int]):
     """Step events of the RBO between the ranking at the previous checkpoint
     and the current one.
@@ -255,15 +245,17 @@ def rbo_trajectory(
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
     """Kullback-Leibler divergence sum_i p_i * ln(p_i / q_i).
 
-    Both vectors must sum to 1 (within 1e-9) and q must be strictly
-    positive wherever p is; terms with p_i = 0 contribute nothing.
+    Every entry must be finite and non-negative, both vectors must sum to 1
+    (within 1e-9) and q must be strictly positive wherever p is; terms with
+    p_i = 0 contribute nothing.
     """
     if len(p) != len(q):
         raise ParameterError(
             f"distributions differ in length: {len(p)} vs {len(q)}"
         )
-    if any(x < 0 for x in p) or any(x < 0 for x in q):
-        raise ParameterError("probabilities must be non-negative")
+    # Written so that NaN fails too.
+    if not all(0 <= x < math.inf for x in (*p, *q)):
+        raise ParameterError("probabilities must be finite and non-negative")
     if abs(math.fsum(p) - 1.0) > 1e-9 or abs(math.fsum(q) - 1.0) > 1e-9:
         raise ParameterError("each distribution must sum to 1 within 1e-9")
     return _kl_sum(p, q)

@@ -281,15 +281,16 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
 
 def ccdf(sample: Sequence[float]) -> tuple[tuple[float, float], ...]:
     """Complementary cumulative distribution: (value, P(X >= value)) pairs
-    for every distinct value, ascending; the smallest value maps to 1."""
+    for every distinct value, ascending; the smallest value maps to 1.
+    Every value must be finite."""
     x = np.asarray(list(sample), dtype=float)
     if x.size == 0:
         raise EmptyInputError("sample is empty")
+    if not np.isfinite(x).all():
+        raise ParameterError("sample values must be finite")
     values, counts = np.unique(x, return_counts=True)
-    at_least = x.size - np.concatenate(([0], np.cumsum(counts)[:-1]))
-    return tuple(
-        (float(v), float(c) / x.size) for v, c in zip(values, at_least)
-    )
+    at_least = np.cumsum(counts[::-1])[::-1] / x.size
+    return tuple(zip(values.tolist(), at_least.tolist()))
 
 
 def _power_logpdf(x: np.ndarray, alpha: float, lower: float) -> np.ndarray:

@@ -150,32 +150,19 @@ class RankedList:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(self.entries))
         seen: set[str] = set()
-        for i, entry in enumerate(self.entries):
+        for entry in self.entries:
             if entry.tag in seen:
                 raise ParameterError(f"duplicate tag {entry.tag!r}")
             seen.add(entry.tag)
-            if entry.count < 1:
+            if not entry.count >= 1:  # NaN fails too
                 raise ParameterError("counts must be positive")
-            if i == 0:
-                if entry.rank != 1:
-                    raise ParameterError("ranking must start at rank 1")
-                continue
-            prev = self.entries[i - 1]
-            if entry.rank == prev.rank:
-                if entry.count != prev.count:
-                    raise ParameterError("tied ranks must share one count")
-                if entry.tag < prev.tag:
-                    raise ParameterError("ties must be listed in tag order")
-            else:
-                if entry.rank != i + 1:
-                    raise ParameterError(
-                        f"rank {entry.rank} at position {i + 1} breaks "
-                        "competition ranking"
-                    )
-                if entry.count >= prev.count:
-                    raise ParameterError(
-                        "counts must strictly decrease across rank groups"
-                    )
+        expected = _ranked({entry.tag: entry.count for entry in self.entries})
+        for position, (entry, want) in enumerate(zip(self.entries, expected), start=1):
+            if entry != want:
+                raise ParameterError(
+                    f"entry {position} is {tuple(entry)}, but competition "
+                    f"ranking puts {tuple(want)} there"
+                )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -195,6 +182,29 @@ def snapshot(stream: TagStream, n: int) -> FrequencySnapshot:
     return FrequencySnapshot(stream.resource_id, n, dict(counts))
 
 
+def _by_count(counts: dict[str, int]) -> list[str]:
+    """Tags by descending count, ties in tag order."""
+    return sorted(counts, key=lambda tag: (-counts[tag], tag))
+
+
+def _ranks_by_count(histogram: dict[int, int]) -> dict[int, int]:
+    """Competition rank of each count: 1 + the number of tags above it."""
+    ranks = {}
+    above = 0
+    for count in sorted(histogram, reverse=True):
+        ranks[count] = above + 1
+        above += histogram[count]
+    return ranks
+
+
+def _ranked(counts: dict[str, int]) -> tuple[RankEntry, ...]:
+    """The competition ranking of ``counts``, in ``_by_count`` order."""
+    ranks = _ranks_by_count(Counter(counts.values()))
+    return tuple(
+        RankEntry(tag, counts[tag], ranks[counts[tag]]) for tag in _by_count(counts)
+    )
+
+
 def rank(snap: FrequencySnapshot) -> RankedList:
     """Competition-rank the snapshot's tags by descending count.
 
@@ -203,16 +213,7 @@ def rank(snap: FrequencySnapshot) -> RankedList:
     """
     if not snap.counts:
         raise EmptyInputError("cannot rank an empty snapshot")
-    items = sorted(snap.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries = []
-    current_rank = 0
-    prev_count: int | None = None
-    for position, (tag, count) in enumerate(items, start=1):
-        if count != prev_count:
-            current_rank = position
-            prev_count = count
-        entries.append(RankEntry(tag, count, current_rank))
-    return RankedList(tuple(entries))
+    return RankedList(_ranked(snap.counts))
 
 
 def _check_window(window: int) -> None:

@@ -58,7 +58,7 @@ class TestSimulateAndValidate:
         for out in (a, b):
             run(capsys, "simulate", "--model", "background", "--vocab", "50",
                 "--length", "40", "--streams", "2", "--seed", "3", "--out", out)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     @pytest.mark.parametrize("model", ["background", "mixture"])
     def test_nan_exponent_is_usage_error(self, tmp_path, capsys, model):
@@ -89,7 +89,7 @@ class TestSimulateAndValidate:
             "--length", "20", "--streams", "1", "--seed", "1", "--out", out,
         )
         assert code == 0
-        body = open(out, encoding="utf-8").read()
+        body = Path(out).read_text(encoding="utf-8")
         assert "cats" in body or "dogs" in body
 
     @pytest.mark.parametrize("table", [
@@ -107,6 +107,25 @@ class TestSimulateAndValidate:
         )
         assert (code, stdout) == (2, "")
         assert err.startswith("tagstab: data error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table, bad", [
+        (None, ["--imitation-rate", "0.5", "--length", "0"]),  # no table file
+        (b"cats\t9\ndogs\n", ["--imitation-rate", "2", "--length", "20"]),
+    ])
+    def test_arguments_are_checked_before_the_background(
+        self, tmp_path, capsys, table, bad
+    ):
+        path = tmp_path / "bg.tsv"
+        if table is not None:
+            path.write_bytes(table)
+        out = tmp_path / "sim.tsv"
+        code, stdout, err = run(
+            capsys, "simulate", "--model", "mixture", *bad,
+            "--background", str(path), "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("tagstab: error: ")
         assert not out.exists()
 
 
@@ -219,6 +238,11 @@ GOLDEN_SIMULATIONS = {
         ["--model", "mixture", "--imitation-rate", "0.5", "--background", "BACKGROUND",
          "--length", "300", "--streams", "3"],
         "207fe60c6208d126d15623992cc9ef5a9770d597de1cd167cb89a27f305e1262",
+    ),
+    "background-table": (
+        ["--model", "background", "--background", "BACKGROUND", "--length", "300",
+         "--streams", "3"],
+        "527fb449744463ff7d8eafc44af7b897d30da2c376f55c17e56927fecdfe96bf",
     ),
 }
 

@@ -46,6 +46,14 @@ class TestKlDivergence:
         with pytest.raises(ParameterError):
             kl_divergence((1.5, -0.5), (0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries(self, bad):
+        # NaN fails every comparison, so it must be rejected on its own.
+        with pytest.raises(ParameterError):
+            kl_divergence((bad, 1.0), (0.5, 0.5))
+        with pytest.raises(ParameterError):
+            kl_divergence((0.5, 0.5), (1.0, bad))
+
     def test_non_negative_on_valid_pairs(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

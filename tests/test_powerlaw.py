@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import optimize, special
 
 from tagstab import (
@@ -162,6 +163,21 @@ class TestCcdf:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             ccdf([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, bad):
+        with pytest.raises(ParameterError):
+            ccdf([1.5, bad, 2])
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=200))
+    def test_matches_counting_each_value(self, sample):
+        expected = tuple(
+            (float(v), sum(x >= v for x in sample) / len(sample)) for v in sorted(set(sample))
+        )
+        assert ccdf(sample) == expected
+
+    def test_non_integer_values(self):
+        assert ccdf([2.5, 0.5, 2.5, 1.25]) == ((0.5, 1.0), (1.25, 0.75), (2.5, 0.5))
 
 
 class TestCompareDistributions:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,6 +61,92 @@ class TestTypes:
             RankedList((RankEntry("a", 3, 1), RankEntry("b", 2, 3)))
         with pytest.raises(ParameterError):
             RankedList((RankEntry("a", 3, 1), RankEntry("a", 2, 2)))
+
+    def test_ranked_list_rejects_nan_count(self):
+        with pytest.raises(ParameterError, match="counts must be positive"):
+            RankedList((RankEntry("a", float("nan"), 1), RankEntry("b", 1, 2)))
+
+    def test_ranked_list_error_names_the_first_wrong_entry(self):
+        with pytest.raises(ParameterError, match=r"entry 2 is \('b', 3, 2\).*\('b', 3, 1\)"):
+            RankedList((RankEntry("a", 3, 1), RankEntry("b", 3, 2)))
+
+
+def rule_by_rule_check(entries):
+    """``RankedList``'s former rule-by-rule checker, the reference for its
+    comparison of the entries with the ranking of their own counts."""
+    seen = set()
+    for i, entry in enumerate(entries):
+        if entry.tag in seen:
+            raise ParameterError(f"duplicate tag {entry.tag!r}")
+        seen.add(entry.tag)
+        if entry.count < 1:
+            raise ParameterError("counts must be positive")
+        if i == 0:
+            if entry.rank != 1:
+                raise ParameterError("ranking must start at rank 1")
+            continue
+        prev = entries[i - 1]
+        if entry.rank == prev.rank:
+            if entry.count != prev.count:
+                raise ParameterError("tied ranks must share one count")
+            if entry.tag < prev.tag:
+                raise ParameterError("ties must be listed in tag order")
+        else:
+            if entry.rank != i + 1:
+                raise ParameterError(
+                    f"rank {entry.rank} at position {i + 1} breaks "
+                    "competition ranking"
+                )
+            if entry.count >= prev.count:
+                raise ParameterError(
+                    "counts must strictly decrease across rank groups"
+                )
+
+
+def verdict(check, entries):
+    try:
+        check(entries)
+    except ParameterError:
+        return False
+    return True
+
+
+def near_valid_entries(rng, change):
+    """A valid competition ranking of up to eight tags with counts 1-4, or
+    one with a changed rank, a changed count, a swapped pair or a renamed
+    tag."""
+    counts = {tag: rng.randint(1, 4) for tag in rng.sample("abcdefgh", rng.randint(0, 8))}
+    entries = [
+        RankEntry(tag, count, 1 + sum(c > count for c in counts.values()))
+        for tag, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ]
+    if change is None or not entries:
+        return entries
+    i = rng.randrange(len(entries))
+    tag, count, rank_ = entries[i]
+    if change == "rank":
+        entries[i] = RankEntry(tag, count, rng.randint(0, len(entries) + 1))
+    elif change == "count":
+        entries[i] = RankEntry(tag, rng.randint(0, 5), rank_)
+    elif change == "swap":
+        j = rng.randrange(len(entries))
+        entries[i], entries[j] = entries[j], entries[i]
+    else:
+        entries[i] = RankEntry(rng.choice("abcdefghi"), count, rank_)
+    return entries
+
+
+@pytest.mark.parametrize("change", [None, "rank", "count", "swap", "rename"])
+def test_ranked_list_accepts_what_the_rule_by_rule_check_accepts(change):
+    rng = random.Random(f"ranked-list-{change}")
+    verdicts = set()
+    for _ in range(4000):
+        entries = near_valid_entries(rng, change)
+        expected = verdict(rule_by_rule_check, entries)
+        assert verdict(RankedList, entries) == expected, entries
+        verdicts.add(expected)
+    # Every change but none leaves some lists valid and breaks others.
+    assert verdicts == ({True} if change is None else {True, False})
 
 
 class TestSnapshot:
