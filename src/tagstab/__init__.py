@@ -53,7 +53,6 @@ from .streams import (
     FrequencySnapshot,
     RankedList,
     RankEntry,
-    TagAssignment,
     TagStream,
     normalize_tag,
     proportion_trajectory,

@@ -325,13 +325,13 @@ def _cmd_simulate(args) -> int:
         zipf_exponent=args.zipf_s,
     )
     # Checked before the table is read; replace() checks again with it.
-    if args.background:
+    if args.background is not None:
         config = replace(config, background=read_background_file(args.background))
     write_tag_log(generate_corpus(config), args.out)
     return 0
 
 
-def _delimiter(text: str) -> str:
+def _nonempty(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must not be empty")
     return text
@@ -339,7 +339,7 @@ def _delimiter(text: str) -> str:
 
 def _add_delimiter_argument(parser) -> None:
     parser.add_argument(
-        "--delimiter", type=_delimiter, default="\t",
+        "--delimiter", type=_nonempty, default="\t",
         help="input column delimiter (default: tab)",
     )
 
@@ -426,7 +426,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("--imitation-rate", type=float, default=0.0)
     sub.add_argument("--vocab", type=int, default=None)
     sub.add_argument("--zipf-s", type=float, default=None)
-    sub.add_argument("--background", default=None, help="token<TAB>count table")
+    sub.add_argument("--background", type=_nonempty, default=None, help="token<TAB>count table")
     sub.add_argument("--length", type=int, required=True)
     sub.add_argument("--streams", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)

@@ -159,13 +159,6 @@ class GeneratorConfig:
         if self.model in ("random_uniform", "imitation") and self.vocabulary_size is None:
             raise ParameterError(f"{self.model} requires a vocabulary size")
 
-    def resolved_background(self) -> BackgroundDistribution:
-        """The explicit background, or a synthetic Zipf one built from the
-        configured (or default) vocabulary size and exponent."""
-        if self.background is not None:
-            return self.background
-        return zipf_background(*self._zipf_parameters())
-
     def _zipf_parameters(self) -> tuple[int, float]:
         size = self.vocabulary_size or DEFAULT_VOCABULARY_SIZE
         exponent = (
@@ -299,7 +292,7 @@ def _generate_with(config: GeneratorConfig, stream_index: int, prepared) -> TagS
     else:
         rate = config.imitation_rate if config.model == "mixture" else 0.0
         tags = _mixture_tags(rng, config.length, rate, support, cumulative)
-    return TagStream.from_tags(resource_id, tags)
+    return TagStream(resource_id, tags)
 
 
 def generate_stream(config: GeneratorConfig, stream_index: int = 0) -> TagStream:

@@ -19,7 +19,7 @@ from pathlib import Path
 from statistics import mean, median
 from typing import Iterable
 
-from .errors import IngestionError
+from .errors import IngestionError, ParameterError
 from .generators import BackgroundDistribution, load_background
 from .streams import TagStream, normalize_tag
 
@@ -209,9 +209,9 @@ def ingest_tag_log(
         values = _in_seq_order(by_resource[resource_id])
         if "user_id" in columns:
             tags, users = zip(*values)
-            streams.append(TagStream.from_tags(resource_id, tags, users))
+            streams.append(TagStream(resource_id, tags, users))
         else:
-            streams.append(TagStream.from_tags(resource_id, values))
+            streams.append(TagStream(resource_id, values))
     streams = tuple(streams)
     return streams, _report(streams, rejected)
 
@@ -263,7 +263,7 @@ def ingest_text_corpus(
     for resource_id in sorted(by_resource):
         tags = [token for tokens in _in_seq_order(by_resource[resource_id]) for token in tokens]
         if tags:
-            streams.append(TagStream.from_tags(resource_id, tags))
+            streams.append(TagStream(resource_id, tags))
     streams = tuple(streams)
     return streams, _report(streams, rejected)
 
@@ -296,8 +296,28 @@ def write_tag_log(
     streams: Iterable[TagStream], path: str | Path, delimiter: str = "\t"
 ) -> None:
     """Serialize streams in the ingestion format with canonical row order
-    (resource_id, then seq); the user_id column appears only if used."""
+    (resource_id, then seq), numbering each stream's rows from 1; the
+    user_id column appears only if used.
+
+    A resource id, tag or user id holding the delimiter, a newline or a
+    carriage return would not read back, so it raises ParameterError
+    before the file is opened.
+    """
     streams = sorted(streams, key=lambda s: s.resource_id)
+    for stream in streams:
+        for name, values in (
+            ("resource id", (stream.resource_id,)),
+            ("tag", dict.fromkeys(stream.tags)),
+            ("user id", dict.fromkeys(stream.users or ())),
+        ):
+            for value in values:  # each distinct string once, first seen first
+                if value is not None and (
+                    delimiter in value or "\n" in value or "\r" in value
+                ):
+                    raise ParameterError(
+                        f"resource {stream.resource_id!r}: {name} {value!r} holds "
+                        f"the delimiter or a line break and cannot be written"
+                    )
     with_users = any(s.users is not None and any(s.users) for s in streams)
     columns = ["resource_id", "tag", "seq"] + (["user_id"] if with_users else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -1,11 +1,11 @@
-"""Domain model for annotation streams: assignments, snapshots, rankings."""
+"""Domain model for annotation streams: streams, snapshots, rankings."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import EmptyInputError, ParameterError
 
@@ -15,103 +15,39 @@ def normalize_tag(raw: str) -> str:
     return raw.strip().lower()
 
 
-@dataclass(frozen=True)
-class TagAssignment:
-    """A single tag applied to a resource at ordinal position ``seq``."""
-
-    resource_id: str
-    tag: str
-    seq: int
-    user_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.tag:
-            raise ParameterError("tag must be non-empty")
-        if self.seq < 1:
-            raise ParameterError(f"seq must be >= 1, got {self.seq}")
-
-
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class TagStream:
-    """Temporally ordered tag assignments for one resource, held as columns.
+    """Temporally ordered tags of one resource, held as columns.
 
-    ``tags[i]`` and ``users[i]`` belong to the assignment with seq i + 1;
-    ``users`` is None when no assignment names a user.  Built from
-    assignments, seq values must be contiguous from 1 and every assignment
-    must carry the stream's resource id.
+    ``tags[i]`` and ``users[i]`` belong to the resource's (i + 1)-th
+    assignment; ``users`` is None when no assignment names a user, so two
+    streams with the same content compare equal.  Seq numbers belong to the
+    log format only: ingest re-indexes rows from 1 and ``write_tag_log``
+    numbers them.
     """
 
     resource_id: str
     tags: tuple[str, ...]
-    users: tuple[str | None, ...] | None
+    users: tuple[str | None, ...] | None = None
 
-    def __init__(
-        self, resource_id: str, assignments: Iterable[TagAssignment]
-    ) -> None:
-        assignments = tuple(assignments)
-        for position, assignment in enumerate(assignments, start=1):
-            if assignment.resource_id != resource_id:
-                raise ParameterError(
-                    f"assignment for {assignment.resource_id!r} cannot join "
-                    f"stream {resource_id!r}"
-                )
-            if assignment.seq != position:
-                raise ParameterError(
-                    f"seq values must be contiguous from 1; position "
-                    f"{position} has seq {assignment.seq}"
-                )
-        self._set(
-            resource_id,
-            tuple(a.tag for a in assignments),
-            tuple(a.user_id for a in assignments),
-        )
-
-    def _set(
-        self,
-        resource_id: str,
-        tags: tuple[str, ...],
-        users: tuple[str | None, ...] | None,
-    ) -> None:
-        # No user at all is stored as None, so equality stays by content.
-        if users is not None and users.count(None) == len(users):
-            users = None
-        object.__setattr__(self, "resource_id", resource_id)
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "users", users)
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    @property
-    def assignments(self) -> tuple[TagAssignment, ...]:
-        """The stream as ``TagAssignment`` objects, built on each access."""
-        users = self.users or (None,) * len(self.tags)
-        return tuple(
-            TagAssignment(self.resource_id, tag, seq, user)
-            for seq, (tag, user) in enumerate(zip(self.tags, users), start=1)
-        )
-
-    @classmethod
-    def from_tags(
-        cls,
-        resource_id: str,
-        tags: Iterable[str],
-        users: Iterable[str | None] | None = None,
-    ) -> "TagStream":
-        """Build a stream from bare tag tokens (and their users), numbering
-        them from 1."""
-        tags = tuple(tags)
+    def __post_init__(self) -> None:
+        tags = tuple(self.tags)
         if not all(tags):
             raise ParameterError("tag must be non-empty")
+        users = self.users
         if users is not None:
             users = tuple(users)
             if len(users) != len(tags):
                 raise ParameterError(
                     f"{len(users)} users for {len(tags)} tags; lengths must match"
                 )
-        stream = object.__new__(cls)
-        stream._set(resource_id, tags, users)
-        return stream
+            if users.count(None) == len(users):
+                users = None
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "users", users)
+
+    def __len__(self) -> int:
+        return len(self.tags)
 
 
 @dataclass(frozen=True)

@@ -257,7 +257,7 @@ def test_a8_surface_monotone_in_threshold():
     def prop(tag_lists):
         from tagstab import TagStream
 
-        corpus = [TagStream.from_tags(f"s{i}", tags) for i, tags in enumerate(tag_lists)]
+        corpus = [TagStream(f"s{i}", tags) for i, tags in enumerate(tag_lists)]
         surface = stability_surface(corpus, (4,), (0.0, 0.25, 0.5, 0.75, 1.0), window=2)
         row = surface.values[0]
         assert all(later <= earlier for earlier, later in zip(row, row[1:]))

@@ -128,6 +128,16 @@ class TestSimulateAndValidate:
         assert err.startswith("tagstab: error: ")
         assert not out.exists()
 
+    def test_empty_background_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sim.tsv"
+        code, stdout, err = run(
+            capsys, "simulate", "--model", "background", "--background", "",
+            "--length", "5", "--streams", "1", "--out", str(out),
+        )
+        assert (code, stdout) == (1, "")
+        assert "argument --background: must not be empty" in err
+        assert not out.exists()
+
 
 class TestRboCommand:
     def test_constant_log_prints_tenth(self, tmp_path, capsys):

@@ -19,7 +19,6 @@ from tagstab import (
     GeneratorConfig,
     IngestionError,
     ParameterError,
-    TagAssignment,
     TagStream,
     generate_corpus,
     ingest_tag_log,
@@ -166,7 +165,7 @@ class TestIngestAgainstReference:
 
 def with_users(stream):
     users = [None if seq % 3 == 0 else f"u{seq % 4}" for seq in range(1, len(stream) + 1)]
-    return TagStream.from_tags(stream.resource_id, stream.tags, users)
+    return TagStream(stream.resource_id, stream.tags, users)
 
 
 @pytest.fixture(scope="module", params=[(m, u) for m in MODELS for u in (False, True)],
@@ -191,24 +190,17 @@ class TestColumns:
         write_tag_log(streams, second)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_assignments_rebuild_the_stream(self, corpus):
-        for stream in corpus:
-            assignments = stream.assignments
-            assert [a.seq for a in assignments] == list(range(1, len(stream) + 1))
-            assert TagStream(stream.resource_id, assignments) == stream
-
     def test_users_none_when_nobody_is_named(self):
-        a = TagStream.from_tags("r", ["x", "y"], [None, None])
-        b = TagStream("r", (TagAssignment("r", "x", 1), TagAssignment("r", "y", 2)))
+        a = TagStream("r", ["x", "y"], [None, None])
         assert a.users is None
-        assert a == b == TagStream.from_tags("r", ["x", "y"])
-        assert a != TagStream.from_tags("r", ["x", "y"], [None, "u"])
+        assert a == TagStream("r", ["x", "y"])
+        assert a != TagStream("r", ["x", "y"], [None, "u"])
 
-    def test_from_tags_checks(self):
+    def test_constructor_checks(self):
         with pytest.raises(ParameterError):
-            TagStream.from_tags("r", ["x", ""])
+            TagStream("r", ["x", ""])
         with pytest.raises(ParameterError):
-            TagStream.from_tags("r", ["x", "y"], ["u"])
+            TagStream("r", ["x", "y"], ["u"])
 
 
 def test_loaded_corpus_holds_no_object_per_assignment(tmp_path):

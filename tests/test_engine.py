@@ -81,7 +81,7 @@ CONFIGS = (
 def corpus():
     streams = [s for config in CONFIGS for s in generate_corpus(config)]
     # Two tags tied at every checkpoint.
-    streams.append(TagStream.from_tags("pairs", ["a", "b"] * 30))
+    streams.append(TagStream("pairs", ["a", "b"] * 30))
     return tuple(streams)
 
 

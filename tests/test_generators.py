@@ -115,10 +115,6 @@ class TestGeneratorConfig:
         with pytest.raises(ParameterError, match="zipf exponent"):
             GeneratorConfig(model="mixture", length=10, zipf_exponent=exponent)
 
-    def test_background_defaults_to_zipf(self):
-        config = GeneratorConfig(model="background", length=10, vocabulary_size=4)
-        assert config.resolved_background() == zipf_background(4, 1.0)
-
 
 class TestGeneration:
     def test_pure_imitation_is_constant(self):

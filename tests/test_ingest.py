@@ -5,6 +5,8 @@ import pytest
 from tagstab import (
     GeneratorConfig,
     IngestionError,
+    ParameterError,
+    TagStream,
     generate_corpus,
     ingest_tag_log,
     ingest_text_corpus,
@@ -45,7 +47,6 @@ class TestTagLog:
         streams, report = ingest_tag_log(log)
         (stream,) = streams
         assert stream.tags == ("first", "middle", "last")
-        assert [a.seq for a in stream.assignments] == [1, 2, 3]
         assert report.streams_loaded == 1
         assert report.assignments_loaded == 3
 
@@ -89,11 +90,40 @@ class TestTagLog:
             "resource_id\ttag\tseq\tuser_id\nr1\ta\t1\tu9\nr1\tb\t2\t\n",
         )
         streams, _ = ingest_tag_log(log)
-        assert [a.user_id for a in streams[0].assignments] == ["u9", None]
+        assert streams[0].users == ("u9", None)
         out = tmp_path / "copy.tsv"
         write_tag_log(streams, out)
         reread, _ = ingest_tag_log(out)
         assert reread == streams
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
+    @pytest.mark.parametrize("field", ["resource id", "tag", "user id"])
+    def test_unwritable_field_is_refused_before_opening(self, tmp_path, field, char):
+        bad = f"x{char}y"
+        columns = {"resource id": "r2", "tag": "b", "user id": "u"}
+        columns[field] = bad
+        streams = (
+            TagStream("r1", ["a"], ["u"]),
+            TagStream(columns["resource id"], ["c", columns["tag"]], [None, columns["user id"]]),
+        )
+        kept = write(tmp_path / "kept.tsv", "left as it was\n")
+        absent = tmp_path / "absent.tsv"
+        for path in (kept, absent):
+            with pytest.raises(ParameterError) as caught:
+                write_tag_log(streams, path)
+            message = str(caught.value)
+            assert message.startswith(f"resource {columns['resource id']!r}: {field} {bad!r}")
+        assert kept.read_text(encoding="utf-8") == "left as it was\n"
+        assert not absent.exists()
+
+    def test_refused_characters_follow_the_delimiter(self, tmp_path):
+        streams = (TagStream("r1", ["a\tb", "c"]),)
+        with pytest.raises(ParameterError, match=r"tag 'a,b'"):
+            write_tag_log((TagStream("r1", ["a,b"]),), tmp_path / "log.csv", delimiter=",")
+        write_tag_log(streams, tmp_path / "log.csv", delimiter=",")
+        reread, report = ingest_tag_log(tmp_path / "log.csv", delimiter=",")
+        assert reread == streams
+        assert report.rows_rejected == 0
 
     def test_streams_sorted_by_resource(self, tmp_path):
         log = write(

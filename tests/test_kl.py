@@ -66,7 +66,7 @@ class TestKlDivergence:
 
 class TestKlTopkTrajectory:
     def test_identical_windows_give_zero(self):
-        stream = TagStream.from_tags("r", ["a", "b"] * 10)
+        stream = TagStream("r", ["a", "b"] * 10)
         points = kl_topk_trajectory(stream, 2)
         assert all(v == 0.0 for _, v in points)
 
@@ -74,11 +74,11 @@ class TestKlTopkTrajectory:
         # Counts (9, 1) after ten assignments become (10, 10) after twenty,
         # so the compared vectors are exactly (0.5, 0.5) and (0.9, 0.1).
         tags = ["a"] * 9 + ["b"] + ["a"] + ["b"] * 9
-        points = kl_topk_trajectory(TagStream.from_tags("r", tags), 10)
+        points = kl_topk_trajectory(TagStream("r", tags), 10)
         assert points == ((10, pytest.approx(kl_divergence((0.5, 0.5), (0.9, 0.1)))),)
 
     def test_positions_are_window_multiples(self):
-        stream = TagStream.from_tags("r", ["a", "b", "c"] * 20)
+        stream = TagStream("r", ["a", "b", "c"] * 20)
         points = kl_topk_trajectory(stream, 5)
         assert [n for n, _ in points] == [5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55]
 
@@ -92,10 +92,10 @@ class TestKlTopkTrajectory:
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            kl_topk_trajectory(TagStream.from_tags("r", ["a"] * 9), 5)
+            kl_topk_trajectory(TagStream("r", ["a"] * 9), 5)
 
     def test_bad_parameters(self):
-        stream = TagStream.from_tags("r", ["a"] * 10)
+        stream = TagStream("r", ["a"] * 10)
         with pytest.raises(ParameterError):
             kl_topk_trajectory(stream, 0)
         with pytest.raises(ParameterError):

@@ -126,7 +126,7 @@ class TestWeightOfPrefix:
 
 class TestRboTrajectory:
     def test_constant_stream_closed_form(self):
-        stream = TagStream.from_tags("r", ["x"] * 50)
+        stream = TagStream("r", ["x"] * 50)
         trajectory = rbo_trajectory(stream, 10, RboParams(0.9, "tie_corrected"))
         assert [t for t, _ in trajectory.points] == [20, 30, 40, 50]
         for _, value in trajectory.points:
@@ -135,17 +135,17 @@ class TestRboTrajectory:
     def test_two_tag_hand_example(self):
         # Rankings {a} vs {a, b} tied at rank 1: the single occurring depth
         # contributes 2*1/(1+2), so the value is (1 - 0.9) * 2/3.
-        stream = TagStream.from_tags("r", ["a", "b"])
+        stream = TagStream("r", ["a", "b"])
         trajectory = rbo_trajectory(stream, 1)
         assert trajectory.points[0][0] == 2
         assert trajectory.points[0][1] == pytest.approx(0.1 * 2 / 3, abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            rbo_trajectory(TagStream.from_tags("r", ["a"] * 19), 10)
+            rbo_trajectory(TagStream("r", ["a"] * 19), 10)
 
     def test_metadata(self):
-        stream = TagStream.from_tags("r9", ["a", "b", "a", "b"])
+        stream = TagStream("r9", ["a", "b", "a", "b"])
         trajectory = rbo_trajectory(stream, 2, RboParams(0.5, "tie_aware"))
         assert trajectory.resource_id == "r9"
         assert trajectory.window == 2

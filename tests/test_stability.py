@@ -14,7 +14,7 @@ from tagstab import (
 
 
 def constant_corpus(n=5, length=40):
-    return [TagStream.from_tags(f"r{i}", ["x"] * length) for i in range(n)]
+    return [TagStream(f"r{i}", ["x"] * length) for i in range(n)]
 
 
 class TestStabilizationFraction:
@@ -39,8 +39,8 @@ class TestStabilizationFraction:
 
     def test_short_streams_are_excluded(self):
         corpus = [
-            TagStream.from_tags("long", ["x"] * 30),
-            TagStream.from_tags("short", ["x"] * 15),
+            TagStream("long", ["x"] * 30),
+            TagStream("short", ["x"] * 15),
         ]
         assert stabilization_fraction(corpus, 20, 0.05, window=10) == 1.0
 
@@ -60,13 +60,13 @@ class TestStabilizationFraction:
 
 class TestWindowRbo:
     def test_matches_trajectory_semantics(self):
-        stream = TagStream.from_tags("r", ["a", "b", "a", "a"])
+        stream = TagStream("r", ["a", "b", "a", "a"])
         value = window_rbo(stream, 4, window=2)
         assert 0.0 < value <= 1.0
 
     def test_checkpoint_beyond_stream(self):
         with pytest.raises(ParameterError):
-            window_rbo(TagStream.from_tags("r", ["a"] * 10), 20, window=5)
+            window_rbo(TagStream("r", ["a"] * 10), 20, window=5)
 
 
 class TestStabilitySurface:
@@ -101,7 +101,7 @@ class TestStabilitySurface:
                 assert value * eligible == pytest.approx(round(value * eligible))
 
     def test_single_stream_values_are_binary(self):
-        stream = TagStream.from_tags("solo", ["a", "b", "a", "c"] * 10)
+        stream = TagStream("solo", ["a", "b", "a", "c"] * 10)
         surface = stability_surface([stream], (20, 40), (0.1, 0.5, 0.9), window=10)
         assert all(v in (0.0, 1.0) for row in surface.values for v in row)
 

@@ -9,7 +9,6 @@ from tagstab import (
     ParameterError,
     RankedList,
     RankEntry,
-    TagAssignment,
     TagStream,
     normalize_tag,
     proportion_trajectory,
@@ -19,34 +18,17 @@ from tagstab import (
 
 
 def stream_of(tags, resource_id="r"):
-    return TagStream.from_tags(resource_id, tags)
+    return TagStream(resource_id, tags)
 
 
 class TestTypes:
     def test_normalize_tag(self):
         assert normalize_tag("  Mixed Case\t") == "mixed case"
 
-    def test_assignment_rejects_empty_tag(self):
-        with pytest.raises(ParameterError):
-            TagAssignment("r", "", 1)
-
-    def test_assignment_rejects_nonpositive_seq(self):
-        with pytest.raises(ParameterError):
-            TagAssignment("r", "a", 0)
-
-    def test_stream_requires_contiguous_seq(self):
-        parts = (TagAssignment("r", "a", 1), TagAssignment("r", "b", 3))
-        with pytest.raises(ParameterError):
-            TagStream("r", parts)
-
-    def test_stream_requires_matching_resource(self):
-        with pytest.raises(ParameterError):
-            TagStream("r", (TagAssignment("other", "a", 1),))
-
-    def test_from_tags_numbers_from_one(self):
-        s = stream_of(["a", "b"])
-        assert [a.seq for a in s.assignments] == [1, 2]
-        assert s.tags == ("a", "b")
+    def test_constructor_keeps_order_in_a_tuple(self):
+        s = stream_of(["b", "a", "b"])
+        assert s.tags == ("b", "a", "b")
+        assert type(s.tags) is tuple
 
     def test_snapshot_validates_totals(self):
         with pytest.raises(ParameterError):
