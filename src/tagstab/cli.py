@@ -121,7 +121,7 @@ def _cmd_proportions(args) -> int:
     out.writerow(["resource_id", "t", "tag", "proportion"])
     for stream in streams:
         tags = _by_count(snapshot(stream, len(stream)).counts)[: args.top]
-        for t, counts, _, _ in _checkpoints(stream, args.window):
+        for t, counts, _, _ in _checkpoints(stream.tags, args.window):
             for tag in tags:
                 out.writerow(
                     [stream.resource_id, t, tag, _float_fmt(counts.get(tag, 0) / t)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import numpy.random  # numpy loads it lazily, on the first draw otherwise
@@ -277,22 +277,28 @@ def _prepare(config: GeneratorConfig):
     return _TokenNames(), np.cumsum(probabilities)
 
 
-def _generate_with(config: GeneratorConfig, stream_index: int, prepared) -> TagStream:
+def _uniform_draws(config: GeneratorConfig, stream_index: int) -> list[int]:
+    """The token indices of stream ``stream_index`` of a random_uniform
+    corpus, which names token i ``_token_name(i)``."""
     rng = _stream_rng(config.seed, stream_index)
-    resource_id = f"stream-{stream_index:05d}"
+    return rng.integers(0, config.vocabulary_size, size=config.length).tolist()
+
+
+def _generate_with(config: GeneratorConfig, stream_index: int, prepared) -> TagStream:
     support, cumulative = prepared
     if config.model == "random_uniform":
-        draws = rng.integers(0, config.vocabulary_size, size=config.length)
-        tags = [support[i] for i in draws.tolist()]
+        tags = [support[i] for i in _uniform_draws(config, stream_index)]
     elif config.model == "imitation":
         # Pure urn dynamics never introduce a token beyond the bootstrap
         # draw, so the stream repeats its first token whatever the urn picks
         # are; they are not drawn.
+        rng = _stream_rng(config.seed, stream_index)
         tags = [support[int(rng.integers(0, config.vocabulary_size))]] * config.length
     else:
+        rng = _stream_rng(config.seed, stream_index)
         rate = config.imitation_rate if config.model == "mixture" else 0.0
         tags = _mixture_tags(rng, config.length, rate, support, cumulative)
-    return TagStream(resource_id, tags)
+    return TagStream(f"stream-{stream_index:05d}", tags)
 
 
 def generate_stream(config: GeneratorConfig, stream_index: int = 0) -> TagStream:
@@ -302,13 +308,7 @@ def generate_stream(config: GeneratorConfig, stream_index: int = 0) -> TagStream
     return _generate_with(config, stream_index, _prepare(config))
 
 
-def _corpus_streams(config: GeneratorConfig) -> Iterator[TagStream]:
-    """The streams of the corpus in index order, each made when asked for."""
-    prepared = _prepare(config)
-    for index in range(config.n_streams):
-        yield _generate_with(config, index, prepared)
-
-
 def generate_corpus(config: GeneratorConfig) -> tuple[TagStream, ...]:
     """All ``n_streams`` streams of the corpus, in index order."""
-    return tuple(_corpus_streams(config))
+    prepared = _prepare(config)
+    return tuple(_generate_with(config, index, prepared) for index in range(config.n_streams))

@@ -299,26 +299,34 @@ def write_tag_log(
     (resource_id, then seq), numbering each stream's rows from 1; the
     user_id column appears only if used.
 
-    A resource id, tag or user id holding the delimiter, a newline or a
-    carriage return would not read back, so it raises ParameterError
-    before the file is opened.
+    A field that would not read back as written raises ParameterError,
+    naming the resource and the field, before the file is opened: a
+    resource id, tag or user id that is empty or holds the delimiter, a
+    newline or a carriage return, a resource id or user id with surrounding
+    whitespace, and a tag that differs from ``normalize_tag(tag)``.
     """
     streams = sorted(streams, key=lambda s: s.resource_id)
     for stream in streams:
-        for name, values in (
-            ("resource id", (stream.resource_id,)),
-            ("tag", dict.fromkeys(stream.tags)),
-            ("user id", dict.fromkeys(stream.users or ())),
+        for name, values, read in (
+            ("resource id", (stream.resource_id,), str.strip),
+            ("tag", dict.fromkeys(stream.tags), normalize_tag),
+            ("user id", dict.fromkeys(stream.users or ()), str.strip),
         ):
             for value in values:  # each distinct string once, first seen first
-                if value is not None and (
-                    delimiter in value or "\n" in value or "\r" in value
-                ):
-                    raise ParameterError(
-                        f"resource {stream.resource_id!r}: {name} {value!r} holds "
-                        f"the delimiter or a line break and cannot be written"
-                    )
-    with_users = any(s.users is not None and any(s.users) for s in streams)
+                if value is None:
+                    continue
+                if delimiter in value or "\n" in value or "\r" in value:
+                    problem = "holds the delimiter or a line break and cannot be written"
+                elif not value:
+                    problem = "is empty"
+                elif read(value) != value:
+                    problem = f"would read back as {read(value)!r}"
+                else:
+                    continue
+                raise ParameterError(
+                    f"resource {stream.resource_id!r}: {name} {value!r} {problem}"
+                )
+    with_users = any(s.users is not None for s in streams)
     columns = ["resource_id", "tag", "seq"] + (["user_id"] if with_users else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(delimiter.join(columns) + "\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Sequence
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
 from .streams import RankedList, TagStream, _check_window, _checkpoints, _ranks_by_count
@@ -188,7 +188,7 @@ def _window_rbos(stream: TagStream, window: int, params: RboParams, ts: Sequence
     wanted = set(ts)
     last = max(wanted)
     now = None
-    for t, counts, histogram, before in _checkpoints(stream, window):
+    for t, counts, histogram, before in _checkpoints(stream.tags, window):
         then = now
         if t in wanted or t + window in wanted:
             now = dict(histogram), _ranks_by_count(histogram)
@@ -280,10 +280,16 @@ def _normalized(counts: Sequence[int]) -> tuple[float, ...]:
 def _top_counts(histogram: dict[int, int], k: int) -> list[int]:
     """The k largest counts, with multiplicity, in descending order."""
     top: list[int] = []
+    left = k
     for count in sorted(histogram, reverse=True):
-        top += [count] * histogram[count]
-        if len(top) >= k:
-            return top[:k]
+        holders = histogram[count]
+        if holders >= left:
+            # Fill only the places left: after t assignments up to t tags
+            # may share the count 1.
+            top += [count] * left
+            return top
+        top += [count] * holders
+        left -= holders
     return top
 
 
@@ -291,6 +297,37 @@ def _check_kl_arguments(window: int, top_k: int) -> None:
     _check_window(window)
     if top_k < 1:
         raise ParameterError(f"top_k must be >= 1, got {top_k}")
+
+
+def _kl_points(
+    tags: Sequence[Hashable], window: int, top_k: int
+) -> list[tuple[int, float]]:
+    """The points of ``kl_topk_trajectory`` for the tag column ``tags``.
+
+    Distinct tags never shrink, so K' is the length of the earlier vector
+    of a pair.  Each vector is normalized once: when the later vector is
+    no longer than the earlier one, its normalized form is also the next
+    pair's Q.  Equal vectors give exactly 0.0, every term being p log 1,
+    so their sum is not evaluated.
+    """
+    points = []
+    earlier = q = None
+    for t, _, histogram, _ in _checkpoints(tags, window):
+        top = _top_counts(histogram, top_k)
+        if earlier is not None:
+            later = top[: len(earlier)]
+            if later == earlier:
+                points.append((t - window, 0.0))
+            else:
+                if q is None:
+                    q = _normalized(earlier)
+                p = _normalized(later)
+                points.append((t - window, _kl_sum(p, q)))
+                q = p
+            if len(top) != len(earlier):
+                q = None
+        earlier = top
+    return points
 
 
 def kl_topk_trajectory(
@@ -306,16 +343,7 @@ def kl_topk_trajectory(
     """
     _check_kl_arguments(window, top_k)
     _check_two_windows(len(stream), window)
-    points = []
-    earlier = None
-    for t, _, histogram, _ in _checkpoints(stream, window):
-        top = _top_counts(histogram, top_k)
-        if earlier is not None:
-            # Distinct tags never shrink, so the earlier vector has K' counts.
-            later = _normalized(top[: len(earlier)])
-            points.append((t - window, _kl_sum(later, _normalized(earlier))))
-        earlier = top
-    return tuple(points)
+    return tuple(_kl_points(stream.tags, window, top_k))
 
 
 def kl_random_baseline(
@@ -328,12 +356,15 @@ def kl_random_baseline(
 ) -> tuple[tuple[int, float], ...]:
     """Mean KL trajectory of uniformly random streams.
 
-    Averages ``kl_topk_trajectory`` over ``trials`` independent streams of
-    ``length`` draws from a uniform vocabulary of ``vocabulary_size`` tags,
-    the streams of ``generate_corpus`` drawn one at a time.  Deterministic
-    for a fixed seed.  A ``length`` below two windows is a ParameterError.
+    Averages the KL trajectory of ``trials`` independent streams of
+    ``length`` draws from a uniform vocabulary of ``vocabulary_size`` tags.
+    KL depends only on counts, so the trials are the integer draws of the
+    ``random_uniform`` streams of ``generate_corpus``, counted without
+    naming a token; the result equals, bit for bit, the mean of
+    ``kl_topk_trajectory`` over those streams.  Deterministic for a fixed
+    seed.  A ``length`` below two windows is a ParameterError.
     """
-    from .generators import GeneratorConfig, _corpus_streams
+    from .generators import GeneratorConfig, _uniform_draws
 
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -352,7 +383,7 @@ def kl_random_baseline(
             f"trial length {length} is shorter than two windows of {window}"
         )
     sums: dict[int, float] = {}
-    for stream in _corpus_streams(config):
-        for pos, value in kl_topk_trajectory(stream, window, top_k):
+    for index in range(trials):
+        for pos, value in _kl_points(_uniform_draws(config, index), window, top_k):
             sums[pos] = sums.get(pos, 0.0) + value
     return tuple((pos, sums[pos] / trials) for pos in sorted(sums))

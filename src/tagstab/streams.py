@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import EmptyInputError, ParameterError
 
@@ -157,9 +157,10 @@ def _check_window(window: int) -> None:
         raise ParameterError(f"window must be >= 1, got {window}")
 
 
-def _checkpoints(stream: TagStream, window: int):
-    """Walk ``stream`` once, yielding its count state after every ``window``
-    assignments.
+def _checkpoints(tags: Sequence[Hashable], window: int):
+    """Walk the tag column ``tags`` once, yielding its count state after
+    every ``window`` assignments.  A tag is any hashable: a stream's
+    strings or the integer draws of a random stream.
 
     Each item is ``(t, counts, histogram, before)``: ``counts`` maps every
     tag of the first t assignments to its count, in order of first
@@ -171,10 +172,10 @@ def _checkpoints(stream: TagStream, window: int):
     read them before asking for the next item and never modify them.
     """
     _check_window(window)
-    counts: dict[str, int] = {}
+    counts: dict[Hashable, int] = {}
     histogram: dict[int, int] = {}
-    before: dict[str, int] = {}
-    for t, tag in enumerate(stream.tags, start=1):
+    before: dict[Hashable, int] = {}
+    for t, tag in enumerate(tags, start=1):
         count = counts.get(tag, 0)
         if tag not in before:
             before[tag] = count
@@ -207,5 +208,5 @@ def proportion_trajectory(
         raise EmptyInputError("cannot compute proportions of an empty stream")
     return tuple(
         (t, {tag: c / t for tag, c in counts.items()})
-        for t, counts, _, _ in _checkpoints(stream, window)
+        for t, counts, _, _ in _checkpoints(stream.tags, window)
     )

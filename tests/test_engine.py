@@ -17,6 +17,7 @@ from tagstab import (
     TagStream,
     generate_corpus,
     kl_divergence,
+    kl_random_baseline,
     kl_topk_trajectory,
     proportion_trajectory,
     rank,
@@ -26,6 +27,7 @@ from tagstab import (
     stability_surface,
     window_rbo,
 )
+from tagstab.measures import _kl_points
 
 VARIANTS = ("plain", "tie_aware", "tie_corrected")
 PS = (0.0, 0.5, 0.9)
@@ -191,6 +193,74 @@ def reference_kl(stream, window, top_k):
 def test_kl_topk_trajectory_matches_counter_reference(corpus, top_k):
     for stream in corpus:
         assert kl_topk_trajectory(stream, WINDOW, top_k) == reference_kl(stream, WINDOW, top_k)
+
+
+KL_CASES = (
+    # A 100 000-tag vocabulary: nearly every tag is seen once, so long runs
+    # of consecutive top-k vectors are equal.
+    (GeneratorConfig(model="random_uniform", vocabulary_size=100_000, length=600,
+                     n_streams=3, seed=6), 10, 25),
+    # Seven tags: K' grows from below k while the tags first appear.
+    (GeneratorConfig(model="random_uniform", vocabulary_size=7, length=200,
+                     n_streams=3, seed=7), 5, 25),
+    (GeneratorConfig(model="random_uniform", vocabulary_size=7, length=200,
+                     n_streams=3, seed=7), 1, 3),
+    (GeneratorConfig(model="mixture", imitation_rate=0.7, vocabulary_size=1000,
+                     zipf_exponent=1.0, length=300, n_streams=2, seed=8), 1, 1),
+    # k above the number of distinct tags.
+    (GeneratorConfig(model="background", vocabulary_size=20, zipf_exponent=1.0,
+                     length=200, n_streams=2, seed=9), 1, 40),
+    (GeneratorConfig(model="random_uniform", vocabulary_size=30, length=120,
+                     n_streams=2, seed=10), 4, 40),
+)
+
+
+@pytest.mark.parametrize(("config", "window", "top_k"), KL_CASES)
+def test_kl_points_match_counter_reference(config, window, top_k):
+    for stream in generate_corpus(config):
+        expected = reference_kl(stream, window, top_k)
+        assert tuple(_kl_points(stream.tags, window, top_k)) == expected
+        assert kl_topk_trajectory(stream, window, top_k) == expected
+
+
+def test_kl_cases_take_every_branch():
+    # Equal consecutive vectors, vectors that differ at an unchanged K', and
+    # a K' that grows between checkpoints.
+    equal = unequal = growing = 0
+    for config, window, top_k in KL_CASES:
+        for stream in generate_corpus(config):
+            tops = [
+                sorted(Counter(stream.tags[:t]).values(), reverse=True)[:top_k]
+                for t in range(window, len(stream) + 1, window)
+            ]
+            for earlier, later in zip(tops, tops[1:]):
+                equal += later[: len(earlier)] == earlier
+                unequal += later[: len(earlier)] != earlier and len(later) == len(earlier)
+                growing += len(later) > len(earlier)
+    assert min(equal, unequal, growing) > 0
+
+
+@pytest.mark.parametrize(("vocabulary_size", "length", "window", "top_k", "trials"), [
+    (100_000, 400, 10, 25, 3),
+    (7, 200, 5, 25, 4),
+    (30, 50, 5, 10, 3),
+    (50, 60, 1, 40, 2),
+    (1, 20, 1, 1, 3),
+    (1000, 300, 3, 2, 5),
+])
+def test_kl_random_baseline_is_the_mean_over_the_corpus(
+    vocabulary_size, length, window, top_k, trials
+):
+    corpus = generate_corpus(GeneratorConfig(
+        model="random_uniform", vocabulary_size=vocabulary_size, length=length,
+        n_streams=trials, seed=11,
+    ))
+    trajectories = [reference_kl(stream, window, top_k) for stream in corpus]
+    expected = tuple(
+        (pos, sum(points[i][1] for points in trajectories) / trials)
+        for i, (pos, _) in enumerate(trajectories[0])
+    )
+    assert kl_random_baseline(window, top_k, vocabulary_size, length, trials, seed=11) == expected
 
 
 def test_proportion_trajectory_matches_counter_reference(corpus):

@@ -116,6 +116,43 @@ class TestTagLog:
         assert kept.read_text(encoding="utf-8") == "left as it was\n"
         assert not absent.exists()
 
+    @pytest.mark.parametrize(("field", "bad", "problem"), [
+        ("resource id", "", "is empty"),
+        ("resource id", " r2", "would read back as 'r2'"),
+        ("resource id", "r2 ", "would read back as 'r2'"),
+        ("tag", "B", "would read back as 'b'"),
+        ("tag", " b", "would read back as 'b'"),
+        ("tag", "  ", "would read back as ''"),
+        ("user id", "", "is empty"),
+        ("user id", "u ", "would read back as 'u'"),
+    ])
+    def test_field_that_would_read_back_changed_is_refused(self, tmp_path, field, bad, problem):
+        columns = {"resource id": "r2", "tag": "b", "user id": "u"}
+        columns[field] = bad
+        streams = (
+            TagStream("r1", ["a"], ["u"]),
+            TagStream(columns["resource id"], ["c", columns["tag"]], [None, columns["user id"]]),
+        )
+        kept = write(tmp_path / "kept.tsv", "left as it was\n")
+        absent = tmp_path / "absent.tsv"
+        for path in (kept, absent):
+            with pytest.raises(ParameterError) as caught:
+                write_tag_log(streams, path)
+            assert str(caught.value) == f"resource {columns['resource id']!r}: {field} {bad!r} {problem}"
+        assert kept.read_text(encoding="utf-8") == "left as it was\n"
+        assert not absent.exists()
+
+    def test_first_field_that_would_change_is_named(self, tmp_path):
+        # Resource id, then tags, then user ids; the line-break check keeps
+        # its own message when both apply.
+        with pytest.raises(ParameterError, match=r"^resource ' R ': resource id ' R ' "):
+            write_tag_log((TagStream(" R ", ["A", " b"], ["", "u"]),), tmp_path / "log.tsv")
+        with pytest.raises(ParameterError, match=r"^resource 'r': tag 'A' "):
+            write_tag_log((TagStream("r", ["A", " b"], ["", "u"]),), tmp_path / "log.tsv")
+        with pytest.raises(ParameterError, match=r"tag 'A\\n' holds the delimiter or a line break"):
+            write_tag_log((TagStream("r", ["A\n"]),), tmp_path / "log.tsv")
+        assert not (tmp_path / "log.tsv").exists()
+
     def test_refused_characters_follow_the_delimiter(self, tmp_path):
         streams = (TagStream("r1", ["a\tb", "c"]),)
         with pytest.raises(ParameterError, match=r"tag 'a,b'"):

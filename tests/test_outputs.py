@@ -78,6 +78,8 @@ RUNS = {
     "kl-hand": ["kl", "hand.tsv", "--m", "7", "--k", "3"],
     "kl-baseline": ["kl-baseline", "--vocab", "30", "--m", "5", "--k", "10",
                     "--length", "50", "--trials", "3", "--seed", "8"],
+    "kl-baseline-vocab100k": ["kl-baseline", "--vocab", "100000", "--m", "10", "--k", "25",
+                              "--length", "3000", "--trials", "4", "--seed", "7"],
     "proportions": ["proportions", "mixture.tsv"],
     "proportions-hand": ["proportions", "hand.tsv", "--window", "5", "--top", "3"],
     "ccdf": ["ccdf", "mixture.tsv"],
@@ -103,6 +105,7 @@ PINS = {
     'compare': (0, '0f782ea00fcdc3826f36683f60e5eb03ba6646ff2fe81cff466bb949065b2b34', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'data-error': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', '4ec40a3b83be8a86e30fdbd0afc6c3472aa0bffc0e17f02021ccb23818b30211'),
     'kl-baseline': (0, '7ee3771d79ddd81d03493afe59012b67501383db95a8fc0f8d5d08c03bce2e92', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'kl-baseline-vocab100k': (0, '7c5e65c9c0277453a393b5bbf9219b006aaa1e869e7a3050bb85cf528bce1478', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'kl-hand': (0, 'bd95e6aa82d02b59b18973dd18fe92acea17155fb05a8b658689e4472b7fe878', '9c245534aa3c0585ca489aaf9e9e59eff6a51bae247e0f395a2a22d83eaeebf1'),
     'kl-m7-k3': (0, '8a4b868b535c6c1de9d4240a2d95b84f899fb5b6cf8130f0a45790c7bc128fc2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'powerlaw-background': (0, None, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
