@@ -50,8 +50,6 @@ from .stability import (
     window_rbo,
 )
 from .streams import (
-    FrequencySnapshot,
-    RankedList,
     RankEntry,
     TagStream,
     normalize_tag,

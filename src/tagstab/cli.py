@@ -103,7 +103,7 @@ def _load_streams(args):
 
 
 def _final_counts(stream) -> list[int]:
-    return sorted(snapshot(stream, len(stream)).counts.values(), reverse=True)
+    return sorted(snapshot(stream, len(stream)).values(), reverse=True)
 
 
 def _cmd_validate(args) -> int:
@@ -120,7 +120,7 @@ def _cmd_proportions(args) -> int:
     out = _writer()
     out.writerow(["resource_id", "t", "tag", "proportion"])
     for stream in streams:
-        tags = _by_count(snapshot(stream, len(stream)).counts)[: args.top]
+        tags = _by_count(snapshot(stream, len(stream)))[: args.top]
         for t, counts, _, _ in _checkpoints(stream.tags, args.window):
             for tag in tags:
                 out.writerow(
@@ -262,9 +262,9 @@ def _cmd_ccdf(args) -> int:
     return 0
 
 
-def _surface_grids(args) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The t and k grids of ``surface`` and ``compare``, checked with the
-    RBO arguments before any log is read."""
+def _write_surfaces(args, logs, labelled: bool) -> int:
+    """Write the stabilization surface of each log; ``labelled`` prefixes
+    each row with a ``dataset`` column holding the log's file stem."""
     t_grid, k_grid, _ = _surface_arguments(
         _parse_int_grid(args.t_grid),
         _parse_float_grid(args.k_grid),
@@ -272,45 +272,21 @@ def _surface_grids(args) -> tuple[tuple[int, ...], tuple[float, ...]]:
         args.window,
         args.variant,
     )
-    return t_grid, k_grid
-
-
-def _surface(streams, grids, args):
-    return stability_surface(
-        streams, *grids, p=args.p, window=args.window, variant=args.variant
-    )
-
-
-def _surface_rows(surface, label: str | None = None):
-    for i, t in enumerate(surface.t_grid):
-        for j, k in enumerate(surface.k_grid):
-            row = [t, _float_fmt(k), _float_fmt(surface.values[i][j])]
-            yield [label] + row if label is not None else row
-
-
-def _cmd_surface(args) -> int:
-    grids = _surface_grids(args)
-    surface = _surface(_load_streams(args), grids, args)
-    out = _writer()
-    out.writerow(["t", "k", "f"])
-    out.writerows(_surface_rows(surface))
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    grids = _surface_grids(args)
-
-    def surface_of(log):
-        streams, _ = ingest_tag_log(log, delimiter=args.delimiter)
-        return _surface(streams, grids, args)
-
     # Every log is evaluated, one held at a time, before the first row is
     # written, so a data error in any of them leaves stdout empty.
-    surfaces = [(Path(log).stem, surface_of(log)) for log in args.logs]
+    surfaces = []
+    for log in logs:
+        streams, _ = ingest_tag_log(log, delimiter=args.delimiter)
+        surfaces.append(stability_surface(
+            streams, t_grid, k_grid, p=args.p, window=args.window, variant=args.variant
+        ))
     out = _writer()
-    out.writerow(["dataset", "t", "k", "f"])
-    for label, surface in surfaces:
-        out.writerows(_surface_rows(surface, label))
+    out.writerow(["dataset", "t", "k", "f"] if labelled else ["t", "k", "f"])
+    for log, surface in zip(logs, surfaces):
+        label = [Path(log).stem] if labelled else []
+        for t, row in zip(surface.t_grid, surface.values):
+            for k, f in zip(surface.k_grid, row):
+                out.writerow(label + [t, _float_fmt(k), _float_fmt(f)])
     return 0
 
 
@@ -411,14 +387,14 @@ def _build_parser() -> _Parser:
     _add_log_argument(sub)
     _add_rbo_arguments(sub)
     _add_grid_arguments(sub)
-    sub.set_defaults(func=_cmd_surface)
+    sub.set_defaults(func=lambda args: _write_surfaces(args, [args.log], False))
 
     sub = commands.add_parser("compare", help="stabilization surfaces of several logs")
     sub.add_argument("logs", nargs="+", help="tag log files")
     _add_delimiter_argument(sub)
     _add_rbo_arguments(sub)
     _add_grid_arguments(sub)
-    sub.set_defaults(func=_cmd_compare)
+    sub.set_defaults(func=lambda args: _write_surfaces(args, args.logs, True))
 
     sub = commands.add_parser("simulate", help="write a synthetic tag log")
     sub.add_argument("--model", required=True,

@@ -70,10 +70,10 @@ def _report(streams: tuple[TagStream, ...], rejected: Counter[str]) -> Ingestion
 
 @contextmanager
 def _open_utf8(path: str | Path):
-    """Open ``path`` as UTF-8 text; bytes that do not decode raise an
-    IngestionError naming the file."""
+    """Open ``path`` as UTF-8 text, skipping a leading byte-order mark;
+    bytes that do not decode raise an IngestionError naming the file."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -299,14 +299,19 @@ def write_tag_log(
     (resource_id, then seq), numbering each stream's rows from 1; the
     user_id column appears only if used.
 
-    A field that would not read back as written raises ParameterError,
-    naming the resource and the field, before the file is opened: a
-    resource id, tag or user id that is empty or holds the delimiter, a
-    newline or a carriage return, a resource id or user id with surrounding
-    whitespace, and a tag that differs from ``normalize_tag(tag)``.
+    A stream or field that would not read back as written raises
+    ParameterError, naming the resource, before the file is opened: a
+    resource id that repeats, a stream with no tags, a resource id, tag or
+    user id that is empty or holds the delimiter, a newline or a carriage
+    return, a resource id or user id with surrounding whitespace, and a tag
+    that differs from ``normalize_tag(tag)``.
     """
     streams = sorted(streams, key=lambda s: s.resource_id)
-    for stream in streams:
+    for i, stream in enumerate(streams):
+        if i and streams[i - 1].resource_id == stream.resource_id:
+            raise ParameterError(f"resource {stream.resource_id!r} repeats")
+        if not stream.tags:
+            raise ParameterError(f"resource {stream.resource_id!r} has no tags")
         for name, values, read in (
             ("resource id", (stream.resource_id,), str.strip),
             ("tag", dict.fromkeys(stream.tags), normalize_tag),

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import EmptyInputError, InsufficientDataError, ParameterError
-from .streams import RankedList, TagStream, _check_window, _checkpoints, _ranks_by_count
+from .errors import InsufficientDataError, ParameterError
+from .streams import TagStream, _check_window, _checkpoints, _ranks_by_count, rank
 
 VARIANTS = ("plain", "tie_aware", "tie_corrected")
 
@@ -129,23 +129,26 @@ def _run_sum(events: dict[int, list[int]], params: RboParams) -> float:
     return total
 
 
-def rbo(l1: RankedList, l2: RankedList, params: RboParams | None = None) -> float:
-    """Rank-biased overlap of two competition-ranked lists.
+def rbo(
+    counts1: dict[str, int], counts2: dict[str, int], params: RboParams | None = None
+) -> float:
+    """Rank-biased overlap of the competition rankings of two tag-count
+    mappings (see ``rank``).
 
-    The prefix of a list at depth d is the set of tags with rank <= d; the
-    sum runs over depths up to the largest rank value in either list (no
-    extrapolation beyond the observed lists).  Symmetric in its arguments.
+    The prefix of a ranking at depth d is the set of tags with rank <= d;
+    the sum runs over depths up to the largest rank value in either ranking
+    (no extrapolation beyond the observed lists).  Symmetric in its
+    arguments.  An empty mapping raises EmptyInputError, a count below 1
+    ParameterError.
     """
     if params is None:
         params = RboParams()
-    if len(l1) == 0 or len(l2) == 0:
-        raise EmptyInputError("rbo requires two non-empty rankings")
     events: dict[int, list[int]] = {}
     ranks1 = {}
-    for tag, _, r in l1.entries:
+    for tag, _, r in rank(counts1):
         ranks1[tag] = r
         _bump(events, r, 1, 0)
-    for tag, _, r in l2.entries:
+    for tag, _, r in rank(counts2):
         _bump(events, r, 1, 0)
         r1 = ranks1.get(tag)
         # A shared tag joins the intersection once both lists reach it.

@@ -43,8 +43,6 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
 
-ALTERNATIVES = ("exponential", "lognormal", "stretched_exponential")
-
 MIN_TAIL = 2
 
 

@@ -1,4 +1,4 @@
-"""Domain model for annotation streams: streams, snapshots, rankings."""
+"""Domain model for annotation streams: streams, tag counts, rankings."""
 
 from __future__ import annotations
 
@@ -50,72 +50,19 @@ class TagStream:
         return len(self.tags)
 
 
-@dataclass(frozen=True)
-class FrequencySnapshot:
-    """Tag counts after the first ``n`` assignments of a stream."""
-
-    resource_id: str
-    n: int
-    counts: dict[str, int]
-
-    def __post_init__(self) -> None:
-        total = 0
-        for tag, count in self.counts.items():
-            if count < 1:
-                raise ParameterError(f"count for {tag!r} must be >= 1")
-            total += count
-        if total != self.n:
-            raise ParameterError(
-                f"counts sum to {total}, expected prefix length {self.n}"
-            )
-
-
 class RankEntry(NamedTuple):
     tag: str
     count: int
     rank: int
 
 
-@dataclass(frozen=True)
-class RankedList:
-    """Competition-ranked tags: tied counts share the minimal rank and the
-    following rank skips by the size of the tie group (1, 2, 2, 4)."""
-
-    entries: tuple[RankEntry, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen: set[str] = set()
-        for entry in self.entries:
-            if entry.tag in seen:
-                raise ParameterError(f"duplicate tag {entry.tag!r}")
-            seen.add(entry.tag)
-            if not entry.count >= 1:  # NaN fails too
-                raise ParameterError("counts must be positive")
-        expected = _ranked({entry.tag: entry.count for entry in self.entries})
-        for position, (entry, want) in enumerate(zip(self.entries, expected), start=1):
-            if entry != want:
-                raise ParameterError(
-                    f"entry {position} is {tuple(entry)}, but competition "
-                    f"ranking puts {tuple(want)} there"
-                )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def max_rank(self) -> int:
-        return self.entries[-1].rank if self.entries else 0
-
-
-def snapshot(stream: TagStream, n: int) -> FrequencySnapshot:
-    """Aggregate the first ``n`` assignments of ``stream`` into tag counts."""
+def snapshot(stream: TagStream, n: int) -> dict[str, int]:
+    """Tag counts of the first ``n`` assignments of ``stream``."""
     if not 1 <= n <= len(stream):
         raise ParameterError(
             f"prefix length {n} out of range for stream of length {len(stream)}"
         )
-    counts = Counter(islice(stream.tags, n))
-    return FrequencySnapshot(stream.resource_id, n, dict(counts))
+    return dict(Counter(islice(stream.tags, n)))
 
 
 def _by_count(counts: dict[str, int]) -> list[str]:
@@ -133,23 +80,23 @@ def _ranks_by_count(histogram: dict[int, int]) -> dict[int, int]:
     return ranks
 
 
-def _ranked(counts: dict[str, int]) -> tuple[RankEntry, ...]:
-    """The competition ranking of ``counts``, in ``_by_count`` order."""
+def rank(counts: dict[str, int]) -> tuple[RankEntry, ...]:
+    """Competition-rank the tags of ``counts`` by descending count.
+
+    Tied counts share the minimal rank of their group and the following
+    rank skips by the size of the group (1, 2, 2, 4).  Tags with equal
+    counts are listed in ascending tag order; rank values alone carry
+    meaning.
+    """
+    if not counts:
+        raise EmptyInputError("cannot rank an empty count mapping")
+    for tag, count in counts.items():
+        if not count >= 1:  # NaN fails too
+            raise ParameterError(f"count for {tag!r} must be >= 1, got {count}")
     ranks = _ranks_by_count(Counter(counts.values()))
     return tuple(
         RankEntry(tag, counts[tag], ranks[counts[tag]]) for tag in _by_count(counts)
     )
-
-
-def rank(snap: FrequencySnapshot) -> RankedList:
-    """Competition-rank the snapshot's tags by descending count.
-
-    Tags with equal counts share the minimal rank of their group and are
-    listed in ascending tag order; rank values alone carry meaning.
-    """
-    if not snap.counts:
-        raise EmptyInputError("cannot rank an empty snapshot")
-    return RankedList(_ranked(snap.counts))
 
 
 def _check_window(window: int) -> None:

@@ -10,7 +10,6 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from tagstab import (
-    FrequencySnapshot,
     GeneratorConfig,
     RboParams,
     generate_corpus,
@@ -18,7 +17,6 @@ from tagstab import (
     kl_divergence,
     kl_random_baseline,
     proportion_trajectory,
-    rank,
     rbo,
     stability_surface,
     stabilization_fraction,
@@ -35,14 +33,10 @@ def check(name, ok, detail=""):
     assert ok, f"{name} {detail}"
 
 
-def ranked(counts):
-    return rank(FrequencySnapshot("r", sum(counts.values()), dict(counts)))
-
-
 def test_a1_rbo_worked_examples():
-    left = ranked({"a": 4, "b": 3, "c": 2, "d": 1})
-    right = ranked({"c": 4, "b": 3, "a": 2, "d": 1})
-    tied = ranked({"a": 5, "b": 5, "c": 5, "d": 1})
+    left = {"a": 4, "b": 3, "c": 2, "d": 1}
+    right = {"c": 4, "b": 3, "a": 2, "d": 1}
+    tied = {"a": 5, "b": 5, "c": 5, "d": 1}
     values = [rbo(left, right, RboParams(0.9, v)) for v in ("plain", "tie_aware", "tie_corrected")]
     aware = rbo(tied, tied, RboParams(0.9, "tie_aware"))
     corrected = rbo(tied, tied, RboParams(0.9, "tie_corrected"))
@@ -176,8 +170,8 @@ tie_free_lists = st.lists(st.integers(1, 40), unique=True, min_size=1, max_size=
 persistences = st.floats(min_value=0.0, max_value=0.99)
 
 
-def make_ranked(counts):
-    return ranked({f"g{i}": c for i, c in enumerate(counts)})
+def make_counts(counts):
+    return {f"g{i}": c for i, c in enumerate(counts)}
 
 
 def run_property(name, prop):
@@ -193,7 +187,7 @@ def test_a8_rbo_range_and_symmetry():
     @settings(max_examples=PROPERTY_CASES, deadline=None, derandomize=True)
     @given(c1=counts_lists, c2=counts_lists, p=persistences)
     def prop(c1, c2, p):
-        l1, l2 = make_ranked(c1), make_ranked(c2)
+        l1, l2 = make_counts(c1), make_counts(c2)
         for variant in ("tie_aware", "tie_corrected"):
             params = RboParams(p, variant)
             value = rbo(l1, l2, params)
@@ -207,7 +201,7 @@ def test_a8_plain_range_on_tie_free_lists():
     @settings(max_examples=PROPERTY_CASES, deadline=None, derandomize=True)
     @given(c1=tie_free_lists, c2=tie_free_lists, p=persistences)
     def prop(c1, c2, p):
-        value = rbo(make_ranked(c1), make_ranked(c2), RboParams(p, "plain"))
+        value = rbo(make_counts(c1), make_counts(c2), RboParams(p, "plain"))
         assert -1e-12 <= value <= 1 + 1e-12
 
     run_property("A8 plain range (tie-free)", prop)
@@ -226,7 +220,7 @@ def test_a8_variants_agree_on_tie_free_lists():
     @settings(max_examples=PROPERTY_CASES, deadline=None, derandomize=True)
     @given(pair=equal_length_pairs(), p=persistences)
     def prop(pair, p):
-        l1, l2 = make_ranked(pair[0]), make_ranked(pair[1])
+        l1, l2 = make_counts(pair[0]), make_counts(pair[1])
         values = [rbo(l1, l2, RboParams(p, v))
                   for v in ("plain", "tie_aware", "tie_corrected")]
         assert max(values) - min(values) <= 1e-12
@@ -238,7 +232,7 @@ def test_a8_tie_corrected_never_exceeds_tie_aware():
     @settings(max_examples=PROPERTY_CASES, deadline=None, derandomize=True)
     @given(c1=counts_lists, c2=counts_lists, p=persistences)
     def prop(c1, c2, p):
-        l1, l2 = make_ranked(c1), make_ranked(c2)
+        l1, l2 = make_counts(c1), make_counts(c2)
         corrected = rbo(l1, l2, RboParams(p, "tie_corrected"))
         aware = rbo(l1, l2, RboParams(p, "tie_aware"))
         assert corrected <= aware + 1e-12

@@ -437,6 +437,13 @@ class TestDataErrorsLeaveStdoutEmpty:
         assert (code, stdout) == (2, "")
         assert err == f"tagstab: data error: {log} is not UTF-8 text: invalid start byte\n"
 
+    def test_invalid_utf8_after_a_byte_order_mark(self, tmp_path, capsys):
+        log = tmp_path / "bad.tsv"
+        log.write_bytes(b"\xef\xbb\xbfresource_id\ttag\tseq\nr1\t\xff\t1\n")
+        code, stdout, err = run(capsys, "validate", str(log))
+        assert (code, stdout) == (2, "")
+        assert err == f"tagstab: data error: {log} is not UTF-8 text: invalid start byte\n"
+
     def test_compare_with_a_missing_later_log(self, simulated_log, capsys):
         code, stdout, _ = run(capsys, "compare", simulated_log, MISSING, *GRIDS)
         assert (code, stdout) == (2, "")

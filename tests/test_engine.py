@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from tagstab import (
-    FrequencySnapshot,
     GeneratorConfig,
     RboParams,
     TagStream,
@@ -42,12 +41,12 @@ def prefix_sizes(rank_values, dmax):
     return np.cumsum(counts)
 
 
-def dense_rbo(l1, l2, params):
-    """RBO summed depth by depth over 1..max rank."""
+def dense_rbo(counts1, counts2, params):
+    """RBO of two count mappings summed depth by depth over 1..max rank."""
     p = params.p
-    ranks1 = {e.tag: e.rank for e in l1.entries}
-    ranks2 = {e.tag: e.rank for e in l2.entries}
-    dmax = max(l1.max_rank, l2.max_rank)
+    ranks1 = {e.tag: e.rank for e in rank(counts1)}
+    ranks2 = {e.tag: e.rank for e in rank(counts2)}
+    dmax = max(*ranks1.values(), *ranks2.values())
     size1 = prefix_sizes(ranks1.values(), dmax)
     size2 = prefix_sizes(ranks2.values(), dmax)
     shared = [max(r, ranks2[t]) for t, r in ranks1.items() if t in ranks2]
@@ -88,22 +87,22 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def rankings(corpus):
-    """Per stream, its ranking at every checkpoint."""
+def snapshots(corpus):
+    """Per stream, its tag counts at every checkpoint."""
     return [
-        {t: rank(snapshot(s, t)) for t in range(WINDOW, len(s) + 1, WINDOW)}
+        {t: snapshot(s, t) for t in range(WINDOW, len(s) + 1, WINDOW)}
         for s in corpus
     ]
 
 
-def reference_points(rankings, params):
+def reference_points(snapshots, params):
     """Reference window RBO points, one list per stream."""
     return [
         [
-            (t, dense_rbo(ranked[t - WINDOW], ranked[t], params))
-            for t in sorted(ranked) if t >= 2 * WINDOW
+            (t, dense_rbo(counts[t - WINDOW], counts[t], params))
+            for t in sorted(counts) if t >= 2 * WINDOW
         ]
-        for ranked in rankings
+        for counts in snapshots
     ]
 
 
@@ -114,9 +113,9 @@ def assert_same(value, expected):
 
 @pytest.mark.parametrize("p", PS)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_rbo_trajectory_matches_dense_reference(corpus, rankings, variant, p):
+def test_rbo_trajectory_matches_dense_reference(corpus, snapshots, variant, p):
     params = RboParams(p, variant)
-    for stream, expected in zip(corpus, reference_points(rankings, params)):
+    for stream, expected in zip(corpus, reference_points(snapshots, params)):
         points = rbo_trajectory(stream, WINDOW, params).points
         assert [t for t, _ in points] == [t for t, _ in expected]
         for (_, value), (_, reference) in zip(points, expected):
@@ -125,20 +124,20 @@ def test_rbo_trajectory_matches_dense_reference(corpus, rankings, variant, p):
 
 @pytest.mark.parametrize("p", PS)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_window_rbo_matches_dense_reference(corpus, rankings, variant, p):
+def test_window_rbo_matches_dense_reference(corpus, snapshots, variant, p):
     params = RboParams(p, variant)
-    for stream, expected in zip(corpus, reference_points(rankings, params)):
+    for stream, expected in zip(corpus, reference_points(snapshots, params)):
         for t, reference in (expected[0], expected[len(expected) // 2], expected[-1]):
             assert_same(window_rbo(stream, t, p, WINDOW, variant), reference)
 
 
 @pytest.mark.parametrize("p", PS)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_stability_surface_matches_dense_reference(corpus, rankings, variant, p):
+def test_stability_surface_matches_dense_reference(corpus, snapshots, variant, p):
     t_grid = (10, 20, 60, 120, 200, 300)
     k_grid = (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
     per_t = {t: [] for t in t_grid}
-    for expected in reference_points(rankings, RboParams(p, variant)):
+    for expected in reference_points(snapshots, RboParams(p, variant)):
         for t, value in expected:
             if t in per_t:
                 per_t[t].append(value)
@@ -148,10 +147,6 @@ def test_stability_surface_matches_dense_reference(corpus, rankings, variant, p)
         tuple(sum(v > k for v in per_t[t]) / len(per_t[t]) for k in k_grid)
         for t in t_grid
     )
-
-
-def rank_counts(counts):
-    return rank(FrequencySnapshot("r", sum(counts.values()), counts))
 
 
 @pytest.mark.parametrize("p", PS)
@@ -165,11 +160,22 @@ def test_rbo_of_unrelated_rankings_matches_dense_reference(variant, p):
         size1, size2 = rng.integers(1, 30, size=2)
         tags1 = rng.choice(40, size=size1, replace=False)
         tags2 = rng.choice(40, size=size2, replace=False)
-        l1 = rank_counts({f"t{t}": int(c) for t, c in zip(tags1, rng.integers(1, 6, size1))})
-        l2 = rank_counts({f"t{t}": int(c) for t, c in zip(tags2, rng.integers(1, 6, size2))})
+        l1 = {f"t{t}": int(c) for t, c in zip(tags1, rng.integers(1, 6, size1))}
+        l2 = {f"t{t}": int(c) for t, c in zip(tags2, rng.integers(1, 6, size2))}
         assert_same(rbo(l1, l2, params), dense_rbo(l1, l2, params))
         assert_same(rbo(l2, l1, params), dense_rbo(l2, l1, params))
 
+
+
+@pytest.mark.parametrize("p", PS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_public_rbo_is_the_engines_rbo(corpus, snapshots, variant, p):
+    # Both paths hand _run_sum the same step events, so every value is
+    # bit-equal, not only close.
+    params = RboParams(p, variant)
+    for stream, counts in zip(corpus, snapshots):
+        for t, value in rbo_trajectory(stream, WINDOW, params).points:
+            assert rbo(counts[t - WINDOW], counts[t], params) == value
 
 def reference_kl(stream, window, top_k):
     tops = {}

@@ -141,7 +141,7 @@ class TestGeneration:
     def test_uniform_proportions(self):
         config = GeneratorConfig(model="random_uniform", vocabulary_size=5, length=2000, seed=42)
         stream = generate_stream(config)
-        counts = snapshot(stream, len(stream)).counts
+        counts = snapshot(stream, len(stream))
         assert len(counts) == 5
         for count in counts.values():
             assert count / 2000 == pytest.approx(0.2, abs=0.05)
@@ -176,7 +176,7 @@ class TestGeneration:
         config = GeneratorConfig(model="background", length=100_000, seed=13,
                                  background=background)
         stream = generate_stream(config)
-        counts = snapshot(stream, len(stream)).counts
+        counts = snapshot(stream, len(stream))
         observed = np.array([counts.get(token, 0) for token in background.support])
         expected = np.array(background.probabilities) * len(stream)
         chi_square = float(((observed - expected) ** 2 / expected).sum())

@@ -142,6 +142,20 @@ class TestTagLog:
         assert kept.read_text(encoding="utf-8") == "left as it was\n"
         assert not absent.exists()
 
+    @pytest.mark.parametrize(("streams", "problem"), [
+        ((TagStream("r", ["a", "c"]), TagStream("r", ["b"])), "resource 'r' repeats"),
+        ((TagStream("a", ["x"]), TagStream("b", [])), "resource 'b' has no tags"),
+    ], ids=["repeated resource", "stream without tags"])
+    def test_stream_that_would_not_read_back_is_refused(self, tmp_path, streams, problem):
+        kept = write(tmp_path / "kept.tsv", "left as it was\n")
+        absent = tmp_path / "absent.tsv"
+        for path in (kept, absent):
+            with pytest.raises(ParameterError) as caught:
+                write_tag_log(streams, path)
+            assert str(caught.value) == problem
+        assert kept.read_text(encoding="utf-8") == "left as it was\n"
+        assert not absent.exists()
+
     def test_first_field_that_would_change_is_named(self, tmp_path):
         # Resource id, then tags, then user ids; the line-break check keeps
         # its own message when both apply.
@@ -343,6 +357,19 @@ def test_text_corpus_rejects_seq(tmp_path, seq):
     (stream,), report = ingest_text_corpus(corpus)
     assert stream.tags == ("kept",)
     assert report.reject_reasons == {"invalid seq": 1}
+
+
+@pytest.mark.parametrize(("read", "text"), [
+    (ingest_tag_log, "resource_id\ttag\tseq\nr1\ta\t1\nr1\tb\t2\n"),
+    (ingest_text_corpus, BAD_TEXT_ROWS),
+    (read_background_file, "cats\t3\ndogs\t1\n"),
+], ids=["tag log", "text corpus", "background"])
+def test_byte_order_mark_is_skipped(tmp_path, read, text):
+    plain = write(tmp_path / "plain.tsv", text)
+    marked = tmp_path / "marked.tsv"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(marked) == read(plain)
 
 
 class TestBackgroundFile:

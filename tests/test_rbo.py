@@ -1,38 +1,32 @@
+import random
+
 import pytest
 
 from tagstab import (
     EmptyInputError,
-    FrequencySnapshot,
     InsufficientDataError,
     ParameterError,
-    RankedList,
     RboParams,
     TagStream,
-    rank,
     rbo,
     rbo_trajectory,
     weight_of_prefix,
 )
 
 P = 0.9
-EMPTY = RankedList(())
-
-
-def ranked(counts):
-    return rank(FrequencySnapshot("r", sum(counts.values()), dict(counts)))
 
 
 # Worked pair (i): tag ranks (a=1, b=2, c=3, d=4) against (a=3, b=2, c=1, d=4).
 # Prefix overlaps per depth are 0, 1, 3, 4, so the closed form is
 # (1 - p) * (0.5 p + p^2 + p^3) = 0.1989 at p = 0.9, identical for every
 # variant because both lists are tie-free.
-PAIR1_LEFT = ranked({"a": 4, "b": 3, "c": 2, "d": 1})
-PAIR1_RIGHT = ranked({"c": 4, "b": 3, "a": 2, "d": 1})
+PAIR1_LEFT = {"a": 4, "b": 3, "c": 2, "d": 1}
+PAIR1_RIGHT = {"c": 4, "b": 3, "a": 2, "d": 1}
 
 # Worked pair (ii): a list compared with itself where a, b, c tie at rank 1
 # and d sits at rank 4.  Every agreement is 1, so tie_aware sums the weights
 # of all four depths while tie_corrected keeps only depths 1 and 4.
-PAIR2 = ranked({"a": 5, "b": 5, "c": 5, "d": 1})
+PAIR2 = {"a": 5, "b": 5, "c": 5, "d": 1}
 
 
 class TestRboWorkedExamples:
@@ -57,19 +51,19 @@ class TestRboWorkedExamples:
 class TestRboProperties:
     @pytest.mark.parametrize("variant", ["plain", "tie_aware", "tie_corrected"])
     def test_disjoint_lists(self, variant):
-        left = ranked({"a": 2, "b": 1})
-        right = ranked({"x": 2, "y": 1})
+        left = {"a": 2, "b": 1}
+        right = {"x": 2, "y": 1}
         assert rbo(left, right, RboParams(P, variant)) == 0.0
 
     def test_tie_free_self_similarity(self):
-        lst = ranked({"a": 4, "b": 3, "c": 2, "d": 1})
+        lst = {"a": 4, "b": 3, "c": 2, "d": 1}
         for variant in ("plain", "tie_aware", "tie_corrected"):
             value = rbo(lst, lst, RboParams(P, variant))
             assert value == pytest.approx(1 - P ** len(lst), abs=1e-12)
 
     def test_symmetry(self):
-        left = ranked({"a": 3, "b": 3, "c": 1})
-        right = ranked({"b": 5, "c": 2, "d": 2})
+        left = {"a": 3, "b": 3, "c": 1}
+        right = {"b": 5, "c": 2, "d": 2}
         for variant in ("plain", "tie_aware", "tie_corrected"):
             params = RboParams(P, variant)
             assert rbo(left, right, params) == pytest.approx(
@@ -77,21 +71,40 @@ class TestRboProperties:
             )
 
     def test_p_zero_keeps_only_top_rank(self):
-        same_top = (ranked({"a": 9, "b": 1}), ranked({"a": 2, "c": 1}))
-        other_top = (ranked({"a": 9, "b": 1}), ranked({"b": 2, "a": 1}))
+        same_top = ({"a": 9, "b": 1}, {"a": 2, "c": 1})
+        other_top = ({"a": 9, "b": 1}, {"b": 2, "a": 1})
         assert rbo(*same_top, RboParams(0.0, "plain")) == 1.0
         assert rbo(*other_top, RboParams(0.0, "plain")) == 0.0
 
     def test_tie_corrected_never_exceeds_tie_aware(self):
-        left = ranked({"a": 3, "b": 3, "c": 3, "d": 1})
-        right = ranked({"a": 5, "b": 2, "c": 2, "d": 2})
+        left = {"a": 3, "b": 3, "c": 3, "d": 1}
+        right = {"a": 5, "b": 2, "c": 2, "d": 2}
         aware = rbo(left, right, RboParams(P, "tie_aware"))
         corrected = rbo(left, right, RboParams(P, "tie_corrected"))
         assert corrected <= aware + 1e-12
 
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyInputError):
-            rbo(rank(FrequencySnapshot("r", 1, {"a": 1})), EMPTY)
+            rbo({"a": 1}, {})
+        with pytest.raises(EmptyInputError):
+            rbo({}, {"a": 1})
+
+    @pytest.mark.parametrize("count", [0, float("nan")])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ParameterError):
+            rbo({"a": 1}, {"a": 2, "b": count})
+        with pytest.raises(ParameterError):
+            rbo({"a": 2, "b": count}, {"a": 1})
+
+    def test_insertion_order_does_not_matter(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            left = {f"t{i}": rng.randint(1, 4) for i in rng.sample(range(12), rng.randint(1, 12))}
+            right = {f"t{i}": rng.randint(1, 4) for i in rng.sample(range(12), rng.randint(1, 12))}
+            shuffled = [dict(rng.sample(list(c.items()), len(c))) for c in (left, right)]
+            for variant in ("plain", "tie_aware", "tie_corrected"):
+                params = RboParams(P, variant)
+                assert rbo(*shuffled, params) == rbo(left, right, params)
 
     def test_bad_p(self):
         with pytest.raises(ParameterError):
