@@ -2,10 +2,10 @@
 background frequency tables.
 
 Tag logs are delimited UTF-8 text (tab by default) with a header naming the
-columns ``resource_id``, ``tag``, ``seq`` and optionally ``user_id``.  Rows
-are grouped per resource, ordered by their seq values, and re-indexed
-contiguously from 1; malformed rows are skipped and counted rather than
-aborting the load.
+columns ``resource_id``, ``tag``, ``seq`` and optionally ``user_id``, which
+is accepted and ignored.  Rows are grouped per resource, ordered by their
+seq values, and re-indexed contiguously from 1; malformed rows are skipped
+and counted rather than aborting the load.
 """
 
 from __future__ import annotations
@@ -71,9 +71,14 @@ def _report(streams: tuple[TagStream, ...], rejected: Counter[str]) -> Ingestion
 @contextmanager
 def _open_utf8(path: str | Path):
     """Open ``path`` as UTF-8 text, skipping a leading byte-order mark;
-    bytes that do not decode raise an IngestionError naming the file."""
+    bytes that do not decode raise an IngestionError naming the file.
+
+    The mark is skipped by hand: the ``utf-8-sig`` codec would be imported
+    on the first read of every run."""
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with open(path, encoding="utf-8") as handle:
+            if handle.read(1) != "\ufeff":
+                handle.seek(0)
             yield handle
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -83,7 +88,7 @@ def _open_utf8(path: str | Path):
 def _collector_paused():
     """Pause the cyclic garbage collector.  The rows of a log build only
     acyclic containers, which it would walk again and again, freeing none;
-    with a user column that is one tuple a row."""
+    for a text corpus that is one list a row."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -111,9 +116,8 @@ def _read_rows(
     required: tuple[str, ...],
     make_parse,
     rejected: Counter[str],
-) -> tuple[dict[str, int], dict[str, dict[int, object]]]:
-    """Read a delimited file with a header into its columns and
-    ``{resource_id: {seq: value}}``.
+) -> dict[str, dict[int, object]]:
+    """Read a delimited file with a header into ``{resource_id: {seq: value}}``.
 
     ``make_parse(columns)`` returns the row parser: it maps a row's fields
     to the value stored for it, or None to reject the row as "empty tag".
@@ -164,7 +168,7 @@ def _read_rows(
                 seqs[seq] = value
     if not by_resource:
         raise IngestionError(f"no rows accepted from {path}")
-    return columns, by_resource
+    return by_resource
 
 
 def _in_seq_order(seqs: dict[int, object]) -> list:
@@ -180,39 +184,29 @@ def ingest_tag_log(
     with an empty tag after normalization, a seq that is not a positive
     integer in ASCII digits, or the wrong field count are rejected and
     counted.  A file yielding zero accepted
-    rows is an error.  Each distinct tag or user id is one string object.
+    rows is an error.  Each distinct tag is one string object.  A
+    ``user_id`` column counts toward a row's fields, and its values are
+    not read.
     """
     interned: dict[str, str] = {}
 
     def make_parse(columns):
         tag_column = columns["tag"]
-        user_column = columns.get("user_id")
 
         def parse(parts):
             tag = normalize_tag(parts[tag_column])
-            if not tag:
-                return None
-            tag = interned.setdefault(tag, tag)
-            if user_column is None:
-                return tag
-            user = parts[user_column].strip()
-            return tag, interned.setdefault(user, user) if user else None
+            return interned.setdefault(tag, tag) if tag else None
 
         return parse
 
     rejected: Counter[str] = Counter()
-    columns, by_resource = _read_rows(
+    by_resource = _read_rows(
         path, delimiter, ("resource_id", "tag", "seq"), make_parse, rejected
     )
-    streams = []
-    for resource_id in sorted(by_resource):
-        values = _in_seq_order(by_resource[resource_id])
-        if "user_id" in columns:
-            tags, users = zip(*values)
-            streams.append(TagStream(resource_id, tags, users))
-        else:
-            streams.append(TagStream(resource_id, values))
-    streams = tuple(streams)
+    streams = tuple(
+        TagStream(resource_id, _in_seq_order(by_resource[resource_id]))
+        for resource_id in sorted(by_resource)
+    )
     return streams, _report(streams, rejected)
 
 
@@ -256,7 +250,7 @@ def ingest_text_corpus(
         return parse
 
     rejected: Counter[str] = Counter()
-    _, by_resource = _read_rows(
+    by_resource = _read_rows(
         path, delimiter, ("resource_id", "seq", "text"), make_parse, rejected
     )
     streams = []
@@ -296,15 +290,14 @@ def write_tag_log(
     streams: Iterable[TagStream], path: str | Path, delimiter: str = "\t"
 ) -> None:
     """Serialize streams in the ingestion format with canonical row order
-    (resource_id, then seq), numbering each stream's rows from 1; the
-    user_id column appears only if used.
+    (resource_id, then seq), numbering each stream's rows from 1.
 
     A stream or field that would not read back as written raises
     ParameterError, naming the resource, before the file is opened: a
-    resource id that repeats, a stream with no tags, a resource id, tag or
-    user id that is empty or holds the delimiter, a newline or a carriage
-    return, a resource id or user id with surrounding whitespace, and a tag
-    that differs from ``normalize_tag(tag)``.
+    resource id that repeats, a stream with no tags, a resource id or tag
+    that is empty or holds the delimiter, a newline or a carriage return, a
+    resource id with surrounding whitespace, and a tag that differs from
+    ``normalize_tag(tag)``.
     """
     streams = sorted(streams, key=lambda s: s.resource_id)
     for i, stream in enumerate(streams):
@@ -315,11 +308,8 @@ def write_tag_log(
         for name, values, read in (
             ("resource id", (stream.resource_id,), str.strip),
             ("tag", dict.fromkeys(stream.tags), normalize_tag),
-            ("user id", dict.fromkeys(stream.users or ()), str.strip),
         ):
             for value in values:  # each distinct string once, first seen first
-                if value is None:
-                    continue
                 if delimiter in value or "\n" in value or "\r" in value:
                     problem = "holds the delimiter or a line break and cannot be written"
                 elif not value:
@@ -331,20 +321,11 @@ def write_tag_log(
                 raise ParameterError(
                     f"resource {stream.resource_id!r}: {name} {value!r} {problem}"
                 )
-    with_users = any(s.users is not None for s in streams)
-    columns = ["resource_id", "tag", "seq"] + (["user_id"] if with_users else [])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(delimiter.join(columns) + "\n")
+        handle.write(delimiter.join(("resource_id", "tag", "seq")) + "\n")
         for stream in streams:
             prefix = stream.resource_id + delimiter
-            if with_users:
-                users = stream.users or (None,) * len(stream)
-                handle.writelines(
-                    f"{prefix}{tag}{delimiter}{seq}{delimiter}{user or ''}\n"
-                    for seq, (tag, user) in enumerate(zip(stream.tags, users), start=1)
-                )
-            else:
-                handle.writelines(
-                    f"{prefix}{tag}{delimiter}{seq}\n"
-                    for seq, tag in enumerate(stream.tags, start=1)
-                )
+            handle.writelines(
+                f"{prefix}{tag}{delimiter}{seq}\n"
+                for seq, tag in enumerate(stream.tags, start=1)
+            )

@@ -17,34 +17,21 @@ def normalize_tag(raw: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class TagStream:
-    """Temporally ordered tags of one resource, held as columns.
+    """Temporally ordered tags of one resource, held as a column.
 
-    ``tags[i]`` and ``users[i]`` belong to the resource's (i + 1)-th
-    assignment; ``users`` is None when no assignment names a user, so two
-    streams with the same content compare equal.  Seq numbers belong to the
-    log format only: ingest re-indexes rows from 1 and ``write_tag_log``
-    numbers them.
+    ``tags[i]`` is the tag of the resource's (i + 1)-th assignment.  Seq
+    numbers belong to the log format only: ingest re-indexes rows from 1
+    and ``write_tag_log`` numbers them.
     """
 
     resource_id: str
     tags: tuple[str, ...]
-    users: tuple[str | None, ...] | None = None
 
     def __post_init__(self) -> None:
         tags = tuple(self.tags)
         if not all(tags):
             raise ParameterError("tag must be non-empty")
-        users = self.users
-        if users is not None:
-            users = tuple(users)
-            if len(users) != len(tags):
-                raise ParameterError(
-                    f"{len(users)} users for {len(tags)} tags; lengths must match"
-                )
-            if users.count(None) == len(users):
-                users = None
         object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "users", users)
 
     def __len__(self) -> int:
         return len(self.tags)

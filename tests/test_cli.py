@@ -622,3 +622,57 @@ def test_power_law_commands_run_with_scipy_blocked(tmp_path):
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("resource_id,") == 3
+
+
+# Every command, powerlaw in both modes, a usage error and a data error.
+# LOG, BG, BAD and OUT stand for the files of the `import_case_files` fixture.
+IMPORT_CASES = {
+    "validate": ["validate", "LOG"],
+    "proportions": ["proportions", "LOG"],
+    "rbo": ["rbo", "LOG"],
+    "kl": ["kl", "LOG"],
+    "kl-baseline": ["kl-baseline", "--vocab", "50", "--length", "100", "--trials", "2"],
+    "powerlaw --per-resource": ["powerlaw", "LOG", "--per-resource"],
+    "powerlaw --pooled": ["powerlaw", "LOG", "--pooled"],
+    "ccdf": ["ccdf", "LOG"],
+    "surface": ["surface", "LOG", "--t-grid", "20:80:20", "--k-grid", "0:1:0.5"],
+    "compare": ["compare", "LOG", "LOG", "--t-grid", "20:80:20", "--k-grid", "0:1:0.5"],
+    "simulate --background": ["simulate", "--model", "background", "--background", "BG",
+                              "--length", "20", "--out", "OUT"],
+    "simulate --vocab": ["simulate", "--model", "mixture", "--imitation-rate", "0.5",
+                         "--vocab", "50", "--length", "20", "--out", "OUT"],
+    "usage error": ["rbo", "LOG", "--p", "1.5"],
+    "data error": ["validate", "BAD"],
+}
+
+
+@pytest.fixture(scope="module")
+def import_case_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("imports")
+    files = {name: str(root / f"{name.lower()}.tsv") for name in ("LOG", "BG", "BAD", "OUT")}
+    assert main(["simulate", "--model", "mixture", "--imitation-rate", "0.7", "--vocab", "200",
+                 "--length", "80", "--streams", "3", "--seed", "5", "--out", files["LOG"]]) == 0
+    Path(files["BG"]).write_text("\ufeffcats\t3\ndogs\t1\n", encoding="utf-8")
+    Path(files["BAD"]).write_bytes(b"\xef\xbb\xbfresource_id\ttag\tseq\nr1\t\xff\t1\n")
+    return files
+
+
+@pytest.mark.parametrize("case", IMPORT_CASES)
+def test_command_imports_no_module(import_case_files, case):
+    # The bench forks each command from a process that has imported
+    # tagstab.cli, so a module a command imports is paid on every run.
+    argv = [import_case_files.get(arg, arg) for arg in IMPORT_CASES[case]]
+    probe = (
+        "import json, sys, tagstab.cli; "
+        "before = set(sys.modules); "
+        "code = tagstab.cli.main(json.loads(sys.argv[1])); "
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]), file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argv)], env=source_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    code, imported = json.loads(result.stderr.splitlines()[-1])
+    assert code == {"usage error": 1, "data error": 2}.get(case, 0), result.stderr
+    assert imported == []

@@ -2,9 +2,9 @@
 write/ingest round trip over every generator model, and the memory a
 loaded corpus holds.
 
-The reference keeps every accepted row in one flat ``{(resource, seq):
-(tag, user)}`` dict and re-checks each reject rule in order, so it shares no
-code with ``ingest_tag_log``'s per-resource reader.
+The reference keeps every accepted row in one flat ``{(resource, seq): tag}``
+dict and re-checks each reject rule in order, so it shares no code with
+``ingest_tag_log``'s per-resource reader.
 """
 
 import gc
@@ -29,7 +29,7 @@ MODELS = ("random_uniform", "imitation", "background", "mixture")
 
 
 def reference_ingest(path):
-    """{resource: [(tag, user), ...] in seq order} and the reject counts."""
+    """{resource: [tag, ...] in seq order} and the reject counts."""
     header, *lines = path.read_text(encoding="utf-8").split("\n")[:-1]
     names = header.split("\t")
     rows, rejected = {}, Counter()
@@ -52,7 +52,7 @@ def reference_ingest(path):
         elif (resource, seq) in rows:
             rejected["duplicate seq"] += 1
         else:
-            rows[resource, seq] = (tag, fields.get("user_id", "").strip() or None)
+            rows[resource, seq] = tag
     streams = {}
     for resource, seq in sorted(rows):
         streams.setdefault(resource, []).append(rows[resource, seq])
@@ -98,9 +98,7 @@ class TestIngestAgainstReference:
         streams, report = ingest_tag_log(path)
         assert [s.resource_id for s in streams] == sorted(expected)
         for stream in streams:
-            rows = expected[stream.resource_id]
-            assert stream.tags == tuple(tag for tag, _ in rows)
-            assert (stream.users or (None,) * len(stream)) == tuple(u for _, u in rows)
+            assert stream.tags == tuple(expected[stream.resource_id])
         lengths = [len(rows) for rows in expected.values()]
         assert report.to_dict() == {
             "streams_loaded": len(expected),
@@ -158,69 +156,71 @@ class TestIngestAgainstReference:
         )
         streams, _ = ingest_tag_log(path)
         tags = [tag for s in streams for tag in s.tags]
-        users = [user for s in streams for user in s.users]
         assert len({id(tag) for tag in tags}) == 1
-        assert len({id(user) for user in users}) == 1
 
 
-def with_users(stream):
-    users = [None if seq % 3 == 0 else f"u{seq % 4}" for seq in range(1, len(stream) + 1)]
-    return TagStream(stream.resource_id, stream.tags, users)
+def add_user_column(path):
+    """Put a user_id column in front of the tag log at ``path``; every
+    third row names no user."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(
+        "user_id\t" + header
+        + "".join(f"{'' if i % 3 == 0 else f'u{i % 4}'}\t{row}" for i, row in enumerate(rows)),
+        encoding="utf-8",
+    )
 
 
 @pytest.fixture(scope="module", params=[(m, u) for m in MODELS for u in (False, True)],
                 ids=lambda p: f"{p[0]}-{'users' if p[1] else 'no-users'}")
 def corpus(request):
+    """A generated corpus, and whether its log carries a user_id column."""
     model, users = request.param
     config = GeneratorConfig(
         model=model, length=60, n_streams=4, seed=3, imitation_rate=0.6,
         vocabulary_size=50, zipf_exponent=1.0,
     )
-    streams = generate_corpus(config)
-    return tuple(with_users(s) for s in streams) if users else streams
+    return generate_corpus(config), users
 
 
 class TestColumns:
     def test_write_then_ingest_round_trips(self, corpus, tmp_path):
+        expected, users = corpus
         first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
-        write_tag_log(corpus, first)
+        write_tag_log(expected, first)
+        written = first.read_bytes()
+        if users:
+            add_user_column(first)
         streams, report = ingest_tag_log(first)
-        assert streams == corpus
+        assert streams == expected
         assert report.rows_rejected == 0
         write_tag_log(streams, second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_users_none_when_nobody_is_named(self):
-        a = TagStream("r", ["x", "y"], [None, None])
-        assert a.users is None
-        assert a == TagStream("r", ["x", "y"])
-        assert a != TagStream("r", ["x", "y"], [None, "u"])
+        assert second.read_bytes() == written
 
     def test_constructor_checks(self):
         with pytest.raises(ParameterError):
             TagStream("r", ["x", ""])
-        with pytest.raises(ParameterError):
-            TagStream("r", ["x", "y"], ["u"])
 
 
 def test_loaded_corpus_holds_no_object_per_assignment(tmp_path):
     # 250 mixture streams of 100 with a user column: 25 000 assignments.
-    # One object per assignment costs about 200 B each; the columns cost a
-    # pointer per tag and per user plus the distinct strings.
+    # One object per assignment costs about 200 B each; the tag column
+    # costs a pointer per tag plus the distinct tags, and the user ids are
+    # neither held nor built on the way.
     config = GeneratorConfig(
         model="mixture", length=100, n_streams=250, seed=5, imitation_rate=0.7,
         vocabulary_size=10_000, zipf_exponent=1.0,
     )
     path = tmp_path / "log.tsv"
-    write_tag_log([with_users(s) for s in generate_corpus(config)], path)
+    write_tag_log(generate_corpus(config), path)
+    add_user_column(path)
     ingest_tag_log(path)  # first-call caches stay out of the measurement
     gc.collect()
     tracemalloc.start()
     try:
         streams, report = ingest_tag_log(path)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.assignments_loaded == 25_000
-    assert streams[0].users is not None
-    assert held / report.assignments_loaded <= 48
+    assert held / report.assignments_loaded <= 24
+    assert peak / report.assignments_loaded <= 96

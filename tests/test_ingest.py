@@ -84,27 +84,39 @@ class TestTagLog:
             "invalid seq": 1,
         }
 
-    def test_user_column_round_trip(self, tmp_path):
-        log = write(
-            tmp_path / "log.tsv",
-            "resource_id\ttag\tseq\tuser_id\nr1\ta\t1\tu9\nr1\tb\t2\t\n",
+    def test_user_column_is_ignored(self, tmp_path):
+        # A row's user id, blank or not, neither rejects it nor shows in the
+        # streams; the column still counts toward the field count.
+        rows = [("r1", "a", "2", "u9"), ("r1", "b", "1", ""), ("r2", "a", "1", " U1 "),
+                ("r2", " ", "2", "u9"), ("r2", "c", "1", "u2"), ("", "d", "1", "u9")]
+        with_users = write(
+            tmp_path / "users.tsv",
+            "user_id\tresource_id\ttag\tseq\n"
+            + "".join(f"{u}\t{r}\t{t}\t{s}\n" for r, t, s, u in rows)
+            + "u9\tr1\tc\t3\textra\n",
         )
-        streams, _ = ingest_tag_log(log)
-        assert streams[0].users == ("u9", None)
-        out = tmp_path / "copy.tsv"
-        write_tag_log(streams, out)
-        reread, _ = ingest_tag_log(out)
-        assert reread == streams
+        without = write(
+            tmp_path / "plain.tsv",
+            "resource_id\ttag\tseq\n"
+            + "".join(f"{r}\t{t}\t{s}\n" for r, t, s, _ in rows)
+            + "r1\tc\t3\textra\n",
+        )
+        streams, report = ingest_tag_log(with_users)
+        assert (streams, report) == ingest_tag_log(without)
+        assert [s.tags for s in streams] == [("b", "a"), ("a",)]
+        assert report.reject_reasons == {
+            "duplicate seq": 1, "empty resource_id": 1, "empty tag": 1, "field count mismatch": 1,
+        }
 
     @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "newline", "return"])
-    @pytest.mark.parametrize("field", ["resource id", "tag", "user id"])
+    @pytest.mark.parametrize("field", ["resource id", "tag"])
     def test_unwritable_field_is_refused_before_opening(self, tmp_path, field, char):
         bad = f"x{char}y"
-        columns = {"resource id": "r2", "tag": "b", "user id": "u"}
+        columns = {"resource id": "r2", "tag": "b"}
         columns[field] = bad
         streams = (
-            TagStream("r1", ["a"], ["u"]),
-            TagStream(columns["resource id"], ["c", columns["tag"]], [None, columns["user id"]]),
+            TagStream("r1", ["a"]),
+            TagStream(columns["resource id"], ["c", columns["tag"]]),
         )
         kept = write(tmp_path / "kept.tsv", "left as it was\n")
         absent = tmp_path / "absent.tsv"
@@ -123,15 +135,13 @@ class TestTagLog:
         ("tag", "B", "would read back as 'b'"),
         ("tag", " b", "would read back as 'b'"),
         ("tag", "  ", "would read back as ''"),
-        ("user id", "", "is empty"),
-        ("user id", "u ", "would read back as 'u'"),
     ])
     def test_field_that_would_read_back_changed_is_refused(self, tmp_path, field, bad, problem):
-        columns = {"resource id": "r2", "tag": "b", "user id": "u"}
+        columns = {"resource id": "r2", "tag": "b"}
         columns[field] = bad
         streams = (
-            TagStream("r1", ["a"], ["u"]),
-            TagStream(columns["resource id"], ["c", columns["tag"]], [None, columns["user id"]]),
+            TagStream("r1", ["a"]),
+            TagStream(columns["resource id"], ["c", columns["tag"]]),
         )
         kept = write(tmp_path / "kept.tsv", "left as it was\n")
         absent = tmp_path / "absent.tsv"
@@ -157,12 +167,12 @@ class TestTagLog:
         assert not absent.exists()
 
     def test_first_field_that_would_change_is_named(self, tmp_path):
-        # Resource id, then tags, then user ids; the line-break check keeps
-        # its own message when both apply.
+        # Resource id, then tags; the line-break check keeps its own message
+        # when both apply.
         with pytest.raises(ParameterError, match=r"^resource ' R ': resource id ' R ' "):
-            write_tag_log((TagStream(" R ", ["A", " b"], ["", "u"]),), tmp_path / "log.tsv")
+            write_tag_log((TagStream(" R ", ["A", " b"]),), tmp_path / "log.tsv")
         with pytest.raises(ParameterError, match=r"^resource 'r': tag 'A' "):
-            write_tag_log((TagStream("r", ["A", " b"], ["", "u"]),), tmp_path / "log.tsv")
+            write_tag_log((TagStream("r", ["A", " b"]),), tmp_path / "log.tsv")
         with pytest.raises(ParameterError, match=r"tag 'A\\n' holds the delimiter or a line break"):
             write_tag_log((TagStream("r", ["A\n"]),), tmp_path / "log.tsv")
         assert not (tmp_path / "log.tsv").exists()
@@ -370,6 +380,17 @@ def test_byte_order_mark_is_skipped(tmp_path, read, text):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert read(marked) == read(plain)
+
+
+def test_only_a_leading_byte_order_mark_is_skipped(tmp_path):
+    # As under the utf-8-sig codec: a second mark, or one later in the
+    # file, is text.
+    log = write(tmp_path / "log.tsv", "\ufeffresource_id\ttag\tseq\n\ufeffr1\ta\t1\n")
+    (stream,), _ = ingest_tag_log(log)
+    assert stream.resource_id == "\ufeffr1"
+    twice = write(tmp_path / "twice.tsv", "\ufeff\ufeffresource_id\ttag\tseq\nr1\ta\t1\n")
+    with pytest.raises(IngestionError, match="missing columns: resource_id"):
+        ingest_tag_log(twice)
 
 
 class TestBackgroundFile:
