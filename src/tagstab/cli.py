@@ -12,6 +12,7 @@ import csv
 import json
 import locale  # noqa: F401  argparse's gettext imports it on the first message otherwise
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -290,6 +291,14 @@ def _write_surfaces(args, logs, labelled: bool) -> int:
     return 0
 
 
+def _cmd_surface(args) -> int:
+    return _write_surfaces(args, [args.log], False)
+
+
+def _cmd_compare(args) -> int:
+    return _write_surfaces(args, args.logs, True)
+
+
 def _cmd_simulate(args) -> int:
     config = GeneratorConfig(
         model=args.model,
@@ -336,86 +345,144 @@ def _add_grid_arguments(parser) -> None:
     parser.add_argument("--k-grid", required=True, help="RBO thresholds, start:stop:step")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tagstab", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _validate_parser(parser) -> None:
+    _add_log_argument(parser)
+    parser.set_defaults(func=_cmd_validate)
 
-    sub = commands.add_parser("validate", help="ingest a log and report what loaded")
-    _add_log_argument(sub)
-    sub.set_defaults(func=_cmd_validate)
 
-    sub = commands.add_parser("proportions", help="relative tag proportions over time")
-    _add_log_argument(sub)
-    sub.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    sub.add_argument("--top", type=int, default=10, help="tags per resource, by final count")
-    sub.set_defaults(func=_cmd_proportions)
+def _proportions_parser(parser) -> None:
+    _add_log_argument(parser)
+    parser.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    parser.add_argument("--top", type=int, default=10, help="tags per resource, by final count")
+    parser.set_defaults(func=_cmd_proportions)
 
-    sub = commands.add_parser("rbo", help="window-to-window rank overlap per resource")
-    _add_log_argument(sub)
-    _add_rbo_arguments(sub)
-    sub.set_defaults(func=_cmd_rbo)
 
-    sub = commands.add_parser("kl", help="windowed top-rank KL divergence per resource")
-    _add_log_argument(sub)
-    sub.add_argument("--m", type=int, default=DEFAULT_WINDOW, help="assignments per window")
-    sub.add_argument("--k", type=int, default=DEFAULT_TOP_K, help="ranks compared")
-    sub.set_defaults(func=_cmd_kl)
+def _rbo_parser(parser) -> None:
+    _add_log_argument(parser)
+    _add_rbo_arguments(parser)
+    parser.set_defaults(func=_cmd_rbo)
 
-    sub = commands.add_parser("kl-baseline", help="mean KL of uniform-random streams")
-    sub.add_argument("--vocab", type=int, required=True)
-    sub.add_argument("--m", type=int, default=DEFAULT_WINDOW)
-    sub.add_argument("--k", type=int, default=DEFAULT_TOP_K)
-    sub.add_argument("--length", type=int, default=1000, help="assignments per trial stream")
-    sub.add_argument("--trials", type=int, default=50)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.set_defaults(func=_cmd_kl_baseline)
 
-    sub = commands.add_parser("powerlaw", help="power-law tail fits of tag frequencies")
-    _add_log_argument(sub)
-    mode = sub.add_mutually_exclusive_group()
+def _kl_parser(parser) -> None:
+    _add_log_argument(parser)
+    parser.add_argument("--m", type=int, default=DEFAULT_WINDOW, help="assignments per window")
+    parser.add_argument("--k", type=int, default=DEFAULT_TOP_K, help="ranks compared")
+    parser.set_defaults(func=_cmd_kl)
+
+
+def _kl_baseline_parser(parser) -> None:
+    parser.add_argument("--vocab", type=int, required=True)
+    parser.add_argument("--m", type=int, default=DEFAULT_WINDOW)
+    parser.add_argument("--k", type=int, default=DEFAULT_TOP_K)
+    parser.add_argument("--length", type=int, default=1000, help="assignments per trial stream")
+    parser.add_argument("--trials", type=int, default=50)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.set_defaults(func=_cmd_kl_baseline)
+
+
+def _powerlaw_parser(parser) -> None:
+    _add_log_argument(parser)
+    mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--per-resource", dest="pooled", action="store_false",
                       help="fit each resource, then append mean and std rows (default)")
     mode.add_argument("--pooled", dest="pooled", action="store_true",
                       help="fit the concatenated counts of all resources")
-    sub.set_defaults(func=_cmd_powerlaw, pooled=False)
+    parser.set_defaults(func=_cmd_powerlaw, pooled=False)
 
-    sub = commands.add_parser("ccdf", help="complementary cumulative tag-frequency distribution")
-    _add_log_argument(sub)
-    sub.set_defaults(func=_cmd_ccdf)
 
-    sub = commands.add_parser("surface", help="stabilized fraction over a (t, k) grid")
-    _add_log_argument(sub)
-    _add_rbo_arguments(sub)
-    _add_grid_arguments(sub)
-    sub.set_defaults(func=lambda args: _write_surfaces(args, [args.log], False))
+def _ccdf_parser(parser) -> None:
+    _add_log_argument(parser)
+    parser.set_defaults(func=_cmd_ccdf)
 
-    sub = commands.add_parser("compare", help="stabilization surfaces of several logs")
-    sub.add_argument("logs", nargs="+", help="tag log files")
-    _add_delimiter_argument(sub)
-    _add_rbo_arguments(sub)
-    _add_grid_arguments(sub)
-    sub.set_defaults(func=lambda args: _write_surfaces(args, args.logs, True))
 
-    sub = commands.add_parser("simulate", help="write a synthetic tag log")
-    sub.add_argument("--model", required=True,
-                     choices=("random_uniform", "imitation", "background", "mixture"))
-    sub.add_argument("--imitation-rate", type=float, default=0.0)
-    sub.add_argument("--vocab", type=int, default=None)
-    sub.add_argument("--zipf-s", type=float, default=None)
-    sub.add_argument("--background", type=_nonempty, default=None, help="token<TAB>count table")
-    sub.add_argument("--length", type=int, required=True)
-    sub.add_argument("--streams", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", required=True)
-    sub.set_defaults(func=_cmd_simulate)
+def _surface_parser(parser) -> None:
+    _add_log_argument(parser)
+    _add_rbo_arguments(parser)
+    _add_grid_arguments(parser)
+    parser.set_defaults(func=_cmd_surface)
 
+
+def _compare_parser(parser) -> None:
+    parser.add_argument("logs", nargs="+", help="tag log files")
+    _add_delimiter_argument(parser)
+    _add_rbo_arguments(parser)
+    _add_grid_arguments(parser)
+    parser.set_defaults(func=_cmd_compare)
+
+
+def _simulate_parser(parser) -> None:
+    parser.add_argument("--model", required=True,
+                        choices=("random_uniform", "imitation", "background", "mixture"))
+    parser.add_argument("--imitation-rate", type=float, default=0.0)
+    parser.add_argument("--vocab", type=int, default=None)
+    parser.add_argument("--zipf-s", type=float, default=None)
+    parser.add_argument("--background", type=_nonempty, default=None, help="token<TAB>count table")
+    parser.add_argument("--length", type=int, required=True)
+    parser.add_argument("--streams", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", required=True)
+    parser.set_defaults(func=_cmd_simulate)
+
+
+# Command name -> (help line, function that adds the command's arguments and
+# its ``func`` default to a parser).  Both parse paths of ``main`` are built
+# from this table.
+_COMMANDS = {
+    "validate": ("ingest a log and report what loaded", _validate_parser),
+    "proportions": ("relative tag proportions over time", _proportions_parser),
+    "rbo": ("window-to-window rank overlap per resource", _rbo_parser),
+    "kl": ("windowed top-rank KL divergence per resource", _kl_parser),
+    "kl-baseline": ("mean KL of uniform-random streams", _kl_baseline_parser),
+    "powerlaw": ("power-law tail fits of tag frequencies", _powerlaw_parser),
+    "ccdf": ("complementary cumulative tag-frequency distribution", _ccdf_parser),
+    "surface": ("stabilized fraction over a (t, k) grid", _surface_parser),
+    "compare": ("stabilization surfaces of several logs", _compare_parser),
+    "simulate": ("write a synthetic tag log", _simulate_parser),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="tagstab", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(commands.add_parser(name, help=help_line))
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would, building only the named
+    command's parser when that parser alone can finish the job.
+
+    Every other argv (none, help, an unknown command, arguments the
+    command leaves over) goes to the full parser, so its messages and
+    exit codes are the full parser's own.
+    """
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _Parser(prog=f"tagstab {name}")
+        _COMMANDS[name][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
+
+
+def _discard_stdout() -> None:
+    # Python flushes stdout again at exit; with the descriptor on devnull
+    # that flush cannot fail a second time.
     try:
-        args = parser.parse_args(argv)
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor, or already closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -428,7 +495,7 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed stdout; not an error
-        sys.stderr.close()
+        _discard_stdout()
         return 0
     except OSError as exc:
         print(f"tagstab: data error: {exc}", file=sys.stderr)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tagstab.cli as cli
 from tagstab import ParameterError
 from tagstab.cli import main
 
@@ -581,6 +585,144 @@ class TestExitCodes:
         assert run(capsys, "--help")[0] == 0
 
 
+# One valid argv per command; LOG and OUT are only names, never read.
+VALID_ARGV = {
+    "validate": ["validate", "LOG"],
+    "proportions": ["proportions", "LOG", "--window", "5", "--top", "3"],
+    "rbo": ["rbo", "LOG", "--p", "0.5", "--window", "5", "--variant", "plain"],
+    "kl": ["kl", "LOG", "--m", "5", "--k", "3"],
+    "kl-baseline": ["kl-baseline", "--vocab", "50", "--length", "40", "--trials", "10"],
+    "powerlaw": ["powerlaw", "LOG", "--pooled"],
+    "ccdf": ["ccdf", "LOG", "--delimiter", ","],
+    "surface": ["surface", "LOG", *GRIDS],
+    "compare": ["compare", "LOG", "LOG", "--window", "10", *GRIDS],
+    "simulate": ["simulate", "--model", "mixture", "--imitation-rate", "0.5",
+                 "--length", "20", "--out", "OUT"],
+}
+PARSE_CASES = [
+    *VALID_ARGV.values(),
+    *([name, "-h"] for name in VALID_ARGV),
+    [],
+    ["--help"],
+    ["frobnicate", "LOG"],
+    ["validate", "LOG", "extra"],
+    ["rbo", "LOG", "--bogus"],
+    ["rbo", "LOG", "--wind", "3"],
+    ["validate", "--", "LOG"],
+    ["validate", "LOG", "--"],
+    ["rbo", "LOG", "--window", "x"],
+    ["powerlaw", "LOG", "--pooled", "--per-resource"],
+    ["validate", "LOG", "--delimiter=,"],
+    ["--", "validate", "LOG"],
+    ["kl-baseline"],
+]
+
+
+def full_parse(argv):
+    """Parse with the full parser alone, then call the command."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return args.func(args)
+
+
+def parse_outcomes(argv):
+    """(exit code, Namespace handed to the command or None, stdout, stderr)
+    of main and of the full parser, with every command replaced by a
+    stand-in of its own that records its Namespace."""
+    handed = []
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in cli._COMMANDS:
+            patch.setattr(cli, "_cmd_" + name.replace("-", "_"),
+                          lambda args: handed.append(args) or 0)
+        for parse in (main, full_parse):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = parse(list(argv))
+            outcomes.append((code, handed.pop() if handed else None,
+                             out.getvalue(), err.getvalue()))
+    assert not handed
+    return outcomes
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_dispatch_parses_as_the_full_parser(argv):
+    ours, full = parse_outcomes(argv)
+    assert ours == full
+
+
+PARSE_TOKENS = (
+    *VALID_ARGV, "frobnicate",
+    "-h", "--help", "--delimiter", "--window", "--top", "--p", "--variant", "--m", "--k",
+    "--vocab", "--length", "--trials", "--seed", "--per-resource", "--pooled", "--t-grid",
+    "--k-grid", "--model", "--imitation-rate", "--zipf-s", "--background", "--streams", "--out",
+    "LOG", "3", "0", "-1", "0.5", "nan", "x", "", "20:40:20", "0:1:0.5", "mixture", "plain",
+    "--", "-", "--wind", "--bogus", "-x", "--window=2", "--delimiter=,", "--p=", "=", " ",
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=st.one_of(
+    st.lists(st.sampled_from(PARSE_TOKENS), max_size=8),
+    st.builds(lambda name, rest: [name, *rest], st.sampled_from(list(VALID_ARGV)),
+              st.lists(st.sampled_from(PARSE_TOKENS), max_size=8)),
+))
+def test_drawn_argv_parses_as_the_full_parser(argv):
+    ours, full = parse_outcomes(argv)
+    assert ours == full
+
+
+def test_module_run_reads_its_arguments(simulated_log, capsys):
+    result = subprocess.run(
+        [sys.executable, "-m", "tagstab.cli", "validate", simulated_log], env=source_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run(capsys, "validate", simulated_log) == (0, result.stdout, result.stderr)
+    assert result.returncode == 0
+
+
+class _ClosedPipe(io.TextIOBase):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_closed_stdout_leaves_stderr_open(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["kl-baseline", "--vocab", "50", "--length", "40", "--trials", "2"]) == 0
+    assert not sys.stderr.closed
+
+
+def test_closed_pipe_on_stdout_is_pointed_at_devnull(simulated_log, monkeypatch):
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["proportions", simulated_log, "--window", "1"]) == 0
+        # What is written after main returns, as Python's flush at exit,
+        # is discarded instead of failing on the closed pipe again.
+        print("after", file=stdout, flush=True)
+    assert not sys.stderr.closed
+
+
+def test_stdout_closed_by_the_reader_exits_zero(tmp_path, capsys):
+    log = str(tmp_path / "sim.tsv")
+    assert main(["simulate", "--model", "mixture", "--imitation-rate", "0.7", "--vocab", "1000",
+                 "--length", "300", "--streams", "3", "--seed", "7", "--out", log]) == 0
+    argv = ["proportions", log, "--window", "1"]
+    # Well past a pipe's buffer, so the command's writes meet the closed end.
+    assert len(run(capsys, *argv)[1]) > 4 * 65536
+    with subprocess.Popen(
+        [sys.executable, "-m", "tagstab.cli", *argv], env=source_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.readline() == b"resource_id,t,tag,proportion\n"
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (0, b"")
+
+
 def source_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -624,7 +766,8 @@ def test_power_law_commands_run_with_scipy_blocked(tmp_path):
     assert outputs[0].count("resource_id,") == 3
 
 
-# Every command, powerlaw in both modes, a usage error and a data error.
+# Every command, powerlaw in both modes, a usage error, a data error and
+# three argv that main hands to the full parser.
 # LOG, BG, BAD and OUT stand for the files of the `import_case_files` fixture.
 IMPORT_CASES = {
     "validate": ["validate", "LOG"],
@@ -643,7 +786,12 @@ IMPORT_CASES = {
                          "--vocab", "50", "--length", "20", "--out", "OUT"],
     "usage error": ["rbo", "LOG", "--p", "1.5"],
     "data error": ["validate", "BAD"],
+    "--help": ["--help"],
+    "unknown command": ["frobnicate", "LOG"],
+    "leftover argument": ["validate", "LOG", "extra"],
 }
+IMPORT_CASE_EXITS = {"usage error": 1, "data error": 2, "unknown command": 1,
+                     "leftover argument": 1}
 
 
 @pytest.fixture(scope="module")
@@ -674,5 +822,5 @@ def test_command_imports_no_module(import_case_files, case):
     )
     assert result.returncode == 0, result.stderr
     code, imported = json.loads(result.stderr.splitlines()[-1])
-    assert code == {"usage error": 1, "data error": 2}.get(case, 0), result.stderr
+    assert code == IMPORT_CASE_EXITS.get(case, 0), result.stderr
     assert imported == []

@@ -4,10 +4,14 @@ The examples are derandomized and their number fixed, so every run draws
 the same inputs.
 """
 
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tagstab import ParameterError, TagStream, ingest_tag_log, write_tag_log
+from tagstab.cli import main
 
 CLEAN_IDS = ("r1", "r2", "R3", "r 4", "ü")
 CLEAN_TAGS = ("a", "b", "c d", "ü", "1")
@@ -68,3 +72,60 @@ def test_written_log_reads_back_or_is_refused_untouched(tmp_path_factory, stream
     reread, report = ingest_tag_log(kept, delimiter)
     assert reread == tuple(sorted(streams, key=lambda s: s.resource_id))
     assert report.rows_rejected == 0
+
+
+# Every command that reads one log, with windows small enough that a
+# drawn log can pass as well as fail.
+LOG_COMMANDS = (
+    ("validate",),
+    ("rbo", "--window", "2"),
+    ("kl", "--m", "2", "--k", "2"),
+    ("proportions", "--window", "2"),
+    ("powerlaw", "--per-resource"),
+    ("powerlaw", "--pooled"),
+    ("ccdf",),
+    ("surface", "--window", "2", "--t-grid", "4:8:4", "--k-grid", "0:1:0.5"),
+)
+HEADERS = (
+    b"resource_id\ttag\tseq", b"resource_id\tuser_id\ttag\tseq", b"\xef\xbb\xbfresource_id\ttag\tseq",
+    b"seq\ttag\tresource_id", b"resource_id\ttag\ttag", b"resource_id\ttag", b"",
+)
+FIELDS = (b"r1", b"r2", b"a", b"b", b"", b" ", b"A", b"\xc3\xbc", b"\xff", b"\xef\xbb\xbf", b"0", b"-1",
+          b"\xd9\xa3", b"1e3", b"\x00")
+
+
+@st.composite
+def near_logs(draw):
+    """A header and rows near the log format: mostly good rows over two
+    resources, with odd fields, extra or missing fields and mixed line
+    endings among them."""
+    lines = [draw(st.one_of(st.just(HEADERS[0]), st.sampled_from(HEADERS)))]
+    for _ in range(draw(st.integers(0, 30))):
+        row = [draw(st.sampled_from((b"r1", b"r2"))), draw(st.sampled_from((b"a", b"b", b"c"))),
+               str(draw(st.integers(1, 40))).encode()]
+        for _ in range(draw(st.integers(0, 1))):
+            kind = draw(st.sampled_from(("field", "extra", "missing")))
+            i = draw(st.integers(0, len(row) - 1))
+            if kind == "field":
+                row[i] = draw(st.sampled_from(FIELDS))
+            elif kind == "extra":
+                row.insert(i, draw(st.sampled_from(FIELDS)))
+            else:
+                del row[i]
+        lines.append(b"\t".join(row))
+    ending = draw(st.sampled_from((b"\n", b"\r\n", b"\r")))
+    return ending.join(lines) + draw(st.sampled_from((ending, b"")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log=st.one_of(st.binary(max_size=200), near_logs()))
+def test_any_log_exits_zero_or_two_and_two_writes_nothing(tmp_path_factory, log):
+    path = tmp_path_factory.mktemp("exit-codes") / "log.tsv"
+    path.write_bytes(log)
+    for command, *options in LOG_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *options])
+        assert code in (0, 2), (command, err.getvalue())
+        if code == 2:
+            assert out.getvalue() == "", command
