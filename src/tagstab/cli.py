@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import locale  # noqa: F401  argparse's gettext imports it on the first message otherwise
 import math
@@ -35,7 +36,7 @@ from .measures import (
 )
 from .powerlaw import ccdf, compare_distributions, fit_power_law
 from .stability import _surface_arguments, stability_surface
-from .streams import _by_count, _check_window, _checkpoints, snapshot
+from .streams import _check_window, _proportions, snapshot
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,20 +114,48 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row: quoted only if it
+    holds the delimiter, the quote character or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow([text])
+        return line.getvalue()[:-1]
+    return text
+
+
+# Entries the proportions formatter keeps before starting over: a long
+# stream's proportions rarely repeat, and memory must not grow with it.
+_MAX_FORMATTED = 4096
+
+
 def _cmd_proportions(args) -> int:
     if args.top < 1:
         raise ParameterError(f"--top must be >= 1, got {args.top}")
     _check_window(args.window)
     streams = _load_streams(args)
-    out = _writer()
-    out.writerow(["resource_id", "t", "tag", "proportion"])
+    write = sys.stdout.write
+    # Each distinct tag and proportion is formatted once.
+    cells: dict[str, str] = {}
+    formatted: dict[float, str] = {}
+    write("resource_id,t,tag,proportion\n")
     for stream in streams:
-        tags = _by_count(snapshot(stream, len(stream)))[: args.top]
-        for t, counts, _, _ in _checkpoints(stream.tags, args.window):
-            for tag in tags:
-                out.writerow(
-                    [stream.resource_id, t, tag, _float_fmt(counts.get(tag, 0) / t)]
-                )
+        resource = _csv_cell(stream.resource_id)
+        for t, proportions in _proportions(stream.tags, args.window, args.top):
+            if len(formatted) > _MAX_FORMATTED:
+                formatted.clear()
+            head = f"{resource},{t},"
+            rows = []
+            for tag, p in proportions.items():
+                cell = cells.get(tag)
+                if cell is None:
+                    cell = cells[tag] = _csv_cell(tag)
+                text = formatted.get(p)
+                if text is None:
+                    text = formatted[p] = _float_fmt(p)
+                rows.append(f"{head}{cell},{text}\n")
+            # One write a checkpoint: at most its top rows are ever held.
+            write("".join(rows))
     return 0
 
 

@@ -86,9 +86,10 @@ def _open_utf8(path: str | Path):
 
 @contextmanager
 def _collector_paused():
-    """Pause the cyclic garbage collector.  The rows of a log build only
-    acyclic containers, which it would walk again and again, freeing none;
-    for a text corpus that is one list a row."""
+    """Pause the cyclic garbage collector.  A text corpus builds one token
+    list a row, all acyclic, which it would walk again and again, freeing
+    none.  A tag log's rows build no container but their seq maps, so its
+    load gains nothing from a pause."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -128,7 +129,7 @@ def _read_rows(
     it is ASCII digits with a value of at least 1.
     """
     by_resource: dict[str, dict[int, object]] = {}
-    with _open_utf8(path) as handle, _collector_paused():
+    with _open_utf8(path) as handle:
         header = handle.readline()
         if not header:
             raise IngestionError("file is empty")
@@ -194,8 +195,14 @@ def ingest_tag_log(
         tag_column = columns["tag"]
 
         def parse(parts):
-            tag = normalize_tag(parts[tag_column])
-            return interned.setdefault(tag, tag) if tag else None
+            # A normalized tag normalizes to itself, so a raw field that is
+            # already a known tag needs no normalizing.
+            raw = parts[tag_column]
+            tag = interned.get(raw)
+            if tag is None:
+                tag = normalize_tag(raw)
+                tag = interned.setdefault(tag, tag) if tag else None
+            return tag
 
         return parse
 
@@ -250,9 +257,10 @@ def ingest_text_corpus(
         return parse
 
     rejected: Counter[str] = Counter()
-    by_resource = _read_rows(
-        path, delimiter, ("resource_id", "seq", "text"), make_parse, rejected
-    )
+    with _collector_paused():
+        by_resource = _read_rows(
+            path, delimiter, ("resource_id", "seq", "text"), make_parse, rejected
+        )
     streams = []
     for resource_id in sorted(by_resource):
         tags = [token for tokens in _in_seq_order(by_resource[resource_id]) for token in tokens]

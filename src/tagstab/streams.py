@@ -54,7 +54,8 @@ def snapshot(stream: TagStream, n: int) -> dict[str, int]:
 
 def _by_count(counts: dict[str, int]) -> list[str]:
     """Tags by descending count, ties in tag order."""
-    return sorted(counts, key=lambda tag: (-counts[tag], tag))
+    # Sorted by tag, then stably by count: no key tuple built per tag.
+    return sorted(sorted(counts), key=counts.__getitem__, reverse=True)
 
 
 def _ranks_by_count(histogram: dict[int, int]) -> dict[int, int]:
@@ -128,19 +129,39 @@ def _checkpoints(tags: Sequence[Hashable], window: int):
             before = {}
 
 
+def _proportions(tags: Sequence[Hashable], window: int, top: int | None = None):
+    """Yield ``(t, {tag: count / t})`` after every ``window`` assignments
+    of the tag column ``tags``.
+
+    With ``top``, the reported tags are the ``top`` first of ``_by_count``
+    over the whole column, in that order, and only they are counted; a tag
+    not seen yet reads 0.0.  Without, every tag seen so far is reported, in
+    order of first appearance.  Each dict is new and the caller's to keep.
+    """
+    counts = {} if top is None else dict.fromkeys(_by_count(Counter(tags))[:top], 0)
+    for t in range(window, len(tags) + 1, window):
+        for tag in tags[t - window : t]:
+            if tag in counts:
+                counts[tag] += 1
+            elif top is None:
+                counts[tag] = 1
+        yield t, {tag: count / t for tag, count in counts.items()}
+
+
 def proportion_trajectory(
-    stream: TagStream, window: int
+    stream: TagStream, window: int, top: int | None = None
 ) -> tuple[tuple[int, dict[str, float]], ...]:
     """Relative tag proportions at every ``window`` assignments.
 
     At each checkpoint t in {window, 2*window, ...} up to the stream length,
     each observed tag maps to count(tag, t) / t; the values at a checkpoint
-    sum to 1.
+    sum to 1.  With ``top``, each checkpoint maps only the ``top`` tags of
+    highest final count (ties in tag order), in that order, and a tag not
+    seen by t maps to 0.0; the values then sum to at most 1.
     """
     _check_window(window)
+    if top is not None and top < 1:
+        raise ParameterError(f"top must be >= 1, got {top}")
     if len(stream) == 0:
         raise EmptyInputError("cannot compute proportions of an empty stream")
-    return tuple(
-        (t, {tag: c / t for tag, c in counts.items()})
-        for t, counts, _, _ in _checkpoints(stream.tags, window)
-    )
+    return tuple(_proportions(stream.tags, window, top))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -8,10 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tagstab.cli as cli
-from tagstab import ParameterError
+from tagstab import ParameterError, ingest_tag_log, proportion_trajectory
 from tagstab.cli import main
 
 
@@ -174,6 +175,52 @@ class TestProportionsCommand:
             "r1,4,a,0.750000",
             "r1,4,b,0.250000",
         ]
+
+    @pytest.mark.parametrize("window, top", [(1, 50), (2, 1), (3, 2)])
+    def test_rows_are_csv_writer_rows_of_the_library_values(
+        self, tmp_path, capsys, window, top
+    ):
+        path = tmp_path / "quoted.tsv"
+        path.write_text(
+            "resource_id\ttag\tseq\n"
+            'r,1\ta"b\t1\nr,1\tx,y\t2\nr,1\ta"b\t3\n'
+            'r"2\tq\t1\nr"2\t"\t2\nr"2\tplain\t3\nr"2\t,\t4\nr"2\t"\t5\n',
+            encoding="utf-8",
+        )
+        expected = io.StringIO()
+        out = csv.writer(expected, lineterminator="\n")
+        out.writerow(["resource_id", "t", "tag", "proportion"])
+        streams, _ = ingest_tag_log(path)
+        for stream in streams:
+            for t, proportions in proportion_trajectory(stream, window, top):
+                for tag, value in proportions.items():
+                    out.writerow([stream.resource_id, t, tag, f"{value:#.6g}"])
+        code, stdout, _ = run(
+            capsys, "proportions", str(path), "--window", str(window), "--top", str(top)
+        )
+        assert code == 0
+        assert stdout == expected.getvalue()
+        assert '"r,1",' in stdout and ',"a""b",' in stdout
+
+    def test_formatter_starting_over_changes_no_row(self, simulated_log, capsys, monkeypatch):
+        argv = ["proportions", simulated_log, "--window", "1", "--top", "50"]
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_MAX_FORMATTED", 1)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0
+
+    @given(st.text())
+    @example("")
+    @example(" ")
+    @example("\t")
+    @example("Grüße, 東京")
+    @example("\r")
+    @example("a\nb")
+    @example('a"b')
+    def test_cell_is_what_csv_writer_writes(self, text):
+        row = io.StringIO()
+        csv.writer(row, lineterminator="\n").writerow(["x", text, "x"])
+        assert row.getvalue() == f"x,{cli._csv_cell(text)},x\n"
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_top_below_one_is_usage_error(self, tmp_path, capsys, top):

@@ -277,3 +277,33 @@ def test_proportion_trajectory_matches_counter_reference(corpus):
         ]
         got = [(t, list(values.items())) for t, values in proportion_trajectory(stream, WINDOW)]
         assert got == expected
+
+
+def reference_top_proportions(stream, window, top):
+    """Proportions of the ``top`` tags by final count, ties in tag order,
+    counted over each prefix with ``Counter``."""
+    final = Counter(stream.tags)
+    reported = sorted(final, key=lambda tag: (-final[tag], tag))[:top]
+    points = []
+    for t in range(window, len(stream) + 1, window):
+        counts = Counter(stream.tags[:t])
+        points.append((t, [(tag, counts[tag] / t) for tag in reported]))
+    return points
+
+
+@pytest.mark.parametrize("window", [7, 13])
+@pytest.mark.parametrize("top", [1, 3, 10_000])
+def test_top_proportion_trajectory_matches_counter_reference(corpus, top, window):
+    # "late" leads by its final count but is absent from the early checkpoints.
+    late = TagStream("late", ["b", "a"] * 10 + ["z"] * 25)
+    for stream in (*corpus, late):
+        assert len(stream) % window
+        expected = reference_top_proportions(stream, window, top)
+        got = [
+            (t, list(values.items()))
+            for t, values in proportion_trajectory(stream, window, top)
+        ]
+        assert got == expected
+    _, first = proportion_trajectory(late, window, top)[0]
+    assert first["z"] == 0.0
+    assert len(first) == min(top, 3)

@@ -218,24 +218,23 @@ class TestTagLog:
         with pytest.raises(OSError):
             ingest_tag_log(tmp_path / "absent.tsv")
 
-    def test_collector_state_is_restored(self, tmp_path):
-        # The reader pauses the cyclic collector; it must leave it as found,
-        # also when the read fails.
-        log = write(tmp_path / "log.tsv", "resource_id\ttag\tseq\tuser_id\nr1\ta\t1\tu\n")
-        bad = tmp_path / "bad.tsv"
-        bad.write_bytes(b"resource_id\ttag\tseq\nr1\t\xff\t1\n")
-        assert gc.isenabled()
-        ingest_tag_log(log)
-        assert gc.isenabled()
-        with pytest.raises(IngestionError):
-            ingest_tag_log(bad)
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            ingest_tag_log(log)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
+    def test_raw_forms_of_one_tag(self, tmp_path):
+        # A raw field that is already a known tag is looked up, not
+        # normalized; the others still are.
+        log = write(
+            tmp_path / "log.tsv",
+            "resource_id\ttag\tseq\n"
+            "r1\tTag\t1\nr1\t tag\t2\nr1\ttag\t3\nr1\t \t4\n"
+            "r2\ttag\t1\nr2\tTAG \t2\nr2\t\t3\n",
+        )
+        streams, report = ingest_tag_log(log)
+        assert [(s.resource_id, s.tags) for s in streams] == [
+            ("r1", ("tag", "tag", "tag")),
+            ("r2", ("tag", "tag")),
+        ]
+        assert len({id(tag) for s in streams for tag in s.tags}) == 1
+        assert report.rows_rejected == 2
+        assert report.reject_reasons == {"empty tag": 2}
 
     def test_invalid_utf8_names_the_file(self, tmp_path):
         log = tmp_path / "bad.tsv"
@@ -277,6 +276,25 @@ class TestTextCorpus:
 
     def test_punctuation_only_text(self):
         assert tokenize("?!... --") == []
+
+    def test_collector_state_is_restored(self, tmp_path):
+        # The text reader pauses the cyclic collector; it must leave it as
+        # found, also when the read fails.
+        corpus = write(tmp_path / "texts.tsv", "resource_id\tseq\ttext\nr1\t1\tsome words\n")
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"resource_id\tseq\ttext\nr1\t1\t\xff\n")
+        assert gc.isenabled()
+        ingest_text_corpus(corpus)
+        assert gc.isenabled()
+        with pytest.raises(IngestionError):
+            ingest_text_corpus(bad)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            ingest_text_corpus(corpus)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_rows_become_streams(self, tmp_path):
         corpus = write(

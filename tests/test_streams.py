@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,16 @@ def stream_of(tags, resource_id="r"):
 class TestTypes:
     def test_normalize_tag(self):
         assert normalize_tag("  Mixed Case\t") == "mixed case"
+
+    def test_normalize_tag_is_idempotent_on_every_code_point(self):
+        # Ingest looks a raw field up among the tags it has normalized.
+        once = (normalize_tag(chr(cp)) for cp in range(sys.maxunicode + 1))
+        assert [tag for tag in once if normalize_tag(tag) != tag] == []
+
+    @given(st.text())
+    def test_normalize_tag_is_idempotent(self, text):
+        tag = normalize_tag(text)
+        assert normalize_tag(tag) == tag
 
     def test_constructor_keeps_order_in_a_tuple(self):
         s = stream_of(["b", "a", "b"])
@@ -104,6 +116,15 @@ class TestProportions:
     def test_bad_window(self):
         with pytest.raises(ParameterError):
             proportion_trajectory(stream_of(["a"]), 0)
+
+    def test_top(self):
+        points = proportion_trajectory(stream_of(["a", "b", "b", "c"]), 2, top=2)
+        assert points == ((2, {"b": 0.5, "a": 0.5}), (4, {"b": 0.5, "a": 0.25}))
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_bad_top(self, top):
+        with pytest.raises(ParameterError, match="top must be >= 1"):
+            proportion_trajectory(stream_of(["a"]), 1, top=top)
 
     @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=40), st.integers(1, 10))
     def test_points_sum_to_one(self, tags, window):
