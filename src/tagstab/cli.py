@@ -18,8 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DataError, ParameterError
 from .generators import GeneratorConfig, generate_corpus
 from .ingest import ingest_tag_log, read_background_file, write_tag_log
@@ -219,41 +217,21 @@ def _cmd_kl_baseline(args) -> int:
     return 0
 
 
-_COMPARISON_COLUMNS = [
-    "r_exp",
-    "p_exp",
-    "r_lognorm",
-    "p_lognorm",
-    "r_stretched",
-    "p_stretched",
-]
+_COMPARISON_COLUMNS = ["r_exp", "p_exp", "r_lognorm", "p_lognorm", "r_stretched", "p_stretched"]
 
 
 def _fit_row(sample) -> list[float]:
     fit = fit_power_law(sample)
     comparison = compare_distributions(sample, fit)
-    return [
-        fit.alpha,
-        fit.xmin,
-        fit.ks_distance,
-        fit.n_tail,
-        comparison.exponential.ratio,
-        comparison.exponential.p_value,
-        comparison.lognormal.ratio,
-        comparison.lognormal.p_value,
-        comparison.stretched_exponential.ratio,
-        comparison.stretched_exponential.p_value,
-    ]
+    tests = (comparison.exponential, comparison.lognormal, comparison.stretched_exponential)
+    return [fit.alpha, fit.xmin, fit.ks_distance, fit.n_tail,
+            *(cell for test in tests for cell in (test.ratio, test.p_value))]
 
 
 def _format_fit_row(label: str, row: list[float]) -> list[str]:
-    cells = [label]
-    for i, value in enumerate(row):
-        if i == 3 and float(value).is_integer():  # n_tail
-            cells.append(str(int(value)))
-        else:
-            cells.append(_float_fmt(float(value)))
-    return cells
+    # The fourth cell, n_tail, prints as an integer where it is one.
+    return [label] + [str(int(value)) if i == 3 and float(value).is_integer()
+                      else _float_fmt(float(value)) for i, value in enumerate(row)]
 
 
 def _cmd_powerlaw(args) -> int:
@@ -273,11 +251,19 @@ def _cmd_powerlaw(args) -> int:
         return [_format_fit_row(stream.resource_id, fits[-1])]
 
     _write_per_stream(header, streams, rows, "no resource produced a fittable sample")
-    out = _writer()
-    matrix = np.array(fits, dtype=float)
-    out.writerow(_format_fit_row("mean", list(matrix.mean(axis=0))))
-    spread = matrix.std(axis=0, ddof=1) if len(fits) > 1 else np.full(matrix.shape[1], np.nan)
-    out.writerow(_format_fit_row("std", list(spread)))
+    # Summed row by row, not by sum(), which from Python 3.12 compensates
+    # its rounding: the digits printed must not depend on the Python version.
+    n, means, spreads = len(fits), [], []
+    for column in zip(*fits):
+        total = squares = 0.0
+        for value in column:
+            total += value
+        mean = total / n
+        for value in column:
+            squares += (value - mean) * (value - mean)
+        means.append(mean)
+        spreads.append(math.sqrt(squares / (n - 1)) if n > 1 else math.nan)
+    _writer().writerows([_format_fit_row("mean", means), _format_fit_row("std", spreads)])
     return 0
 
 
@@ -325,6 +311,12 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    paths: dict[str, str] = {}  # rows are labelled by stem: one path a stem
+    for log in args.logs:
+        other = paths.setdefault(Path(log).stem, log)
+        if other != log:
+            raise ParameterError(f"logs {other!r} and {log!r} share the stem "
+                                 f"{Path(log).stem!r} that labels their rows")
     return _write_surfaces(args, args.logs, True)
 
 

@@ -12,13 +12,16 @@ discrete power law, which keeps the selected cutoff near the true one on
 integer data.  Likelihood ratios are evaluated on the matching continuous
 support [xmin - 0.5, infinity), identically for every candidate model.
 
-The alternatives are fitted from sufficient statistics of the tail, so an
-optimizer step costs O(1) or one vectorized pass: the truncated lognormal's
+A sample is held as its distinct values and their multiplicities, and every
+sum runs over those pairs in Python floats (``math.log``, ``math.expm1``,
+``math.fsum``): tag counts take few distinct values.  The alternatives are
+fitted from sufficient statistics of the tail, so an optimizer step costs
+O(1) or one pass over the distinct values: the truncated lognormal's
 likelihood depends on the tail only through n, sum(log x) and the sum of
 squares of log x, and the stretched exponential's scale has a closed form for
 each shape, which leaves a one-dimensional profile likelihood.
 
-No scipy is imported.  The two searches are ports of scipy 1.17's
+Neither numpy nor scipy is imported.  The two searches are ports of scipy 1.17's
 Nelder-Mead simplex (``_nelder_mead``) and bounded Brent search
 (``_bounded_brent``) onto Python floats: the same steps in the same
 floating-point order, so they return the same bits as
@@ -36,10 +39,12 @@ from ``math.erfc`` with an asymptotic series in the far lower tail
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from itertools import accumulate, repeat
+from operator import mul, sub, truediv
+from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, InsufficientDataError, ParameterError
 
@@ -59,9 +64,7 @@ class PowerLawFit:
         if not self.alpha > 1.0:
             raise ParameterError(f"alpha must exceed 1, got {self.alpha}")
         if not 0.0 <= self.ks_distance <= 1.0:
-            raise ParameterError(
-                f"KS distance must lie in [0, 1], got {self.ks_distance}"
-            )
+            raise ParameterError(f"KS distance must lie in [0, 1], got {self.ks_distance}")
         if self.n_tail < MIN_TAIL:
             raise ParameterError(f"tail must hold >= {MIN_TAIL} observations")
 
@@ -91,13 +94,30 @@ class ModelComparison:
     stretched_exponential: RatioTest
 
 
-def _as_sample(sample: Sequence[float]) -> np.ndarray:
-    x = np.asarray(list(sample), dtype=float)
-    if x.size == 0:
+def _distinct(sample: Sequence[float], counts_only: bool = True) -> tuple[list, list[int]]:
+    """The sample's distinct values, ascending, and their multiplicities.
+    Every value must be finite, and with ``counts_only`` an integer >= 1."""
+    tally: Counter[float] = Counter()
+    for value, count in Counter(sample).items():  # ints count fastest
+        tally[float(value)] += count
+    if not tally:
         raise EmptyInputError("sample is empty")
-    if np.any(~np.isfinite(x)) or np.any(x < 1) or np.any(x != np.round(x)):
+    if counts_only and not all(value >= 1.0 and value.is_integer() for value in tally):
         raise ParameterError("sample values must be integer counts >= 1")
-    return np.sort(x)
+    if not all(map(math.isfinite, tally)):
+        raise ParameterError("sample values must be finite")
+    values = sorted(tally)
+    return values, [tally[value] for value in values]
+
+
+def _suffix_sums(terms: Sequence) -> list:
+    """sums[i] = terms[i] + ... + terms[-1], added from the last term down."""
+    return list(accumulate(reversed(terms)))[::-1]
+
+
+def _weighted_sum(terms: Iterable[float], counts: list[int]) -> float:
+    """The sum of term * count over the pairs, rounded once."""
+    return math.fsum(map(mul, terms, counts))
 
 
 # Cephes zeta: machine epsilon and the Euler-Maclaurin divisors (2k)! / B_2k.
@@ -162,8 +182,8 @@ def _hurwitz_zeta(s: float, q: float) -> float:
 _TABLE_SPAN = 2048
 
 
-def _zeta_at(s: float, keys: np.ndarray) -> np.ndarray:
-    """zeta(s, k) for an integer array ``keys``, each at least ``keys[0]``
+def _zeta_at(s: float, keys: list[int]) -> list[float]:
+    """zeta(s, k) for each integer in ``keys``, each at least ``keys[0]``
     (and at least 1).
 
     Keys up to ``keys[0] + _TABLE_SPAN`` come from a table by the recurrence
@@ -171,26 +191,21 @@ def _zeta_at(s: float, keys: np.ndarray) -> np.ndarray:
     just above the table (``_hurwitz_zeta``).  The terms are summed smallest
     first, and that sum, which dominates as s nears 1, is added last.  Keys
     beyond the table, which only tails spread over thousands of integers
-    have, get the Euler-Maclaurin series alone (``_zeta_far``).
+    have, get the Euler-Maclaurin series alone (``_zeta_far``), or 0 if
+    zeta(s, top + 1), which bounds them, underflows.
     """
-    lo = int(keys[0])
-    hi = int(keys.max())
-    top = min(hi, lo + _TABLE_SPAN)
+    lo = keys[0]
+    top = min(max(keys), lo + _TABLE_SPAN)
     beyond = _hurwitz_zeta(s, top + 1.0)
-    terms = np.arange(top, lo - 1, -1, dtype=float) ** -s
-    table = (beyond + np.cumsum(terms))[::-1]
-    if hi == top:
-        return table[keys - lo]
-    near = keys <= top
-    zeta = np.zeros(keys.size)
-    zeta[near] = table[keys[near] - lo]
-    if beyond > 0.0:
-        # Else every key beyond underflows, as zeta(s, top + 1) bounds them.
-        zeta[~near] = _zeta_far(s, keys[~near].astype(float))
-    return zeta
+    # partial[top - k] = k^-s + ... + top^-s.
+    partial = list(accumulate(map(math.pow, range(top, lo - 1, -1), repeat(-s))))
+    return [
+        beyond + partial[top - k] if k <= top else _zeta_far(s, k) if beyond > 0.0 else 0.0
+        for k in keys
+    ]
 
 
-def _zeta_far(s: float, q: np.ndarray) -> np.ndarray:
+def _zeta_far(s: float, q: float) -> float:
     """zeta(s, q) by the Euler-Maclaurin series with no term summed
     directly:  q^-s (q / (s - 1) + 1/2 + sum over j of
     s (s + 1) ... (s + 2j - 2) q^(1 - 2j) / _ZETA_A[j - 1]).
@@ -199,19 +214,17 @@ def _zeta_far(s: float, q: np.ndarray) -> np.ndarray:
     100, so the first Bernoulli term is below 2e-4 of the sum, each next one
     is at least 1e4 times smaller, and the fifth, left out, is below 1e-20.
     """
-    coefficients = []
-    rising = s
-    for j, divisor in enumerate(_ZETA_A[:4]):
-        coefficients.append(rising / divisor)
-        rising *= (s + 2 * j + 1) * (s + 2 * j + 2)
-    inverse_square = 1.0 / (q * q)
-    series = coefficients[-1]
-    for coefficient in reversed(coefficients[:-1]):
-        series = coefficient + inverse_square * series
+    rising2 = s * ((s + 1) * (s + 2))
+    rising3 = rising2 * ((s + 3) * (s + 4))
+    rising4 = rising3 * ((s + 5) * (s + 6))
+    x = 1.0 / (q * q)
+    series = s / _ZETA_A[0] + x * (
+        rising2 / _ZETA_A[1] + x * (rising3 / _ZETA_A[2] + x * (rising4 / _ZETA_A[3]))
+    )
     return q ** -s * (q / (s - 1.0) + 0.5 + series / q)
 
 
-def _ks_distance(values: np.ndarray, counts: np.ndarray, alpha: float) -> float:
+def _ks_distance(values: list[float], counts: list[int], alpha: float) -> float:
     """Max deviation between a tail's empirical distribution and the
     fitted discrete power law P(X >= x) = zeta(alpha, x) / zeta(alpha, xmin).
 
@@ -221,19 +234,23 @@ def _ks_distance(values: np.ndarray, counts: np.ndarray, alpha: float) -> float:
     above each gap is checked, where the empirical survival function has
     already stepped down but the model has not yet decayed.
     """
-    at_or_above = np.cumsum(counts[::-1])[::-1]
-    at_least = at_or_above / at_or_above[0]
-    keys = values.astype(np.intp)
+    at_or_above = _suffix_sums(counts)
+    keys = list(map(int, values))
     # The integer just above a value that no gap follows is the next value,
     # already counted, so every value's successor can be checked.
-    zeta = _zeta_at(alpha, np.concatenate((keys, keys[:-1] + 1)))
+    zeta = _zeta_at(alpha, keys + [key + 1 for key in keys[:-1]])
     norm = zeta[0]
     if norm == 0.0:
         # A steep tail underflows zeta to 0, which leaves no finite
         # distance; the caller rejects the candidate.
         return math.nan
-    empirical = np.concatenate((at_least, at_least[1:]))
-    return float(np.max(np.abs(zeta / norm - empirical)))
+    model = map(truediv, zeta, repeat(norm))
+    empirical = map(truediv, at_or_above + at_or_above[1:], repeat(at_or_above[0]))
+    return max(map(abs, map(sub, model, empirical)))
+
+
+# Distinct values above a cutoff whose deviations bound its KS distance.
+_PROBE = 8
 
 
 def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
@@ -246,33 +263,34 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
     repeated value, whose KS distance is 0 by construction (the same rule
     as the ``powerlaw`` package of Alstott, Bullmore & Plenz, 2014).  A
     candidate whose KS distance is not finite (a tail so steep that the
-    zeta normalization underflows) is skipped.
+    zeta normalization underflows) is skipped.  A candidate whose distance
+    over its first ``_PROBE`` values alone exceeds the best so far by more
+    than rounding cannot win, and its full distance is not computed.
     Deterministic and independent of sample order.
     """
-    x = _as_sample(sample)
-    values, first_index, counts = np.unique(x, return_index=True, return_counts=True)
-    if values.size < 2:
-        raise InsufficientDataError(
-            "power-law fit needs at least two distinct values"
-        )
-    n = x.size
-    log_suffix = np.cumsum(np.log(x)[::-1])[::-1]
+    values, counts = _distinct(sample)
+    if len(values) < 2:
+        raise InsufficientDataError("power-law fit needs at least two distinct values")
+    # Each candidate's tail holds its value and a larger one: n_tail >= MIN_TAIL.
+    tail_sizes = _suffix_sums(counts)
+    log_sums = _suffix_sums([count * math.log(value) for value, count in zip(values, counts)])
     best: tuple[float, float, float, int] | None = None
-    for j, (value, start) in enumerate(zip(values[:-1], first_index[:-1])):
-        n_tail = n - int(start)
-        if n_tail < MIN_TAIL:
-            continue
-        denominator = log_suffix[int(start)] - n_tail * math.log(value - 0.5)
-        alpha = 1.0 + n_tail / denominator
+    for j, value in enumerate(values[:-1]):
+        n_tail = tail_sizes[j]
+        alpha = 1.0 + n_tail / (log_sums[j] - n_tail * math.log(value - 0.5))
+        end = j + _PROBE
+        if best is not None and end < len(values):
+            # The probe's last value stands for everything at or above it.
+            probe = _ks_distance(values[j:end], counts[j:end - 1] + [tail_sizes[end - 1]], alpha)
+            if probe > best[2] + 1e-12:
+                continue
         distance = _ks_distance(values[j:], counts[j:], alpha)
         if not math.isfinite(distance):
             continue
         if best is None or distance < best[2]:
-            best = (alpha, float(value), distance, n_tail)
+            best = (alpha, value, distance, n_tail)
     if best is None:
-        raise InsufficientDataError(
-            "no cutoff keeps two observations with a finite KS distance"
-        )
+        raise InsufficientDataError("no cutoff keeps two observations with a finite KS distance")
     alpha, xmin, distance, n_tail = best
     return PowerLawFit(alpha=alpha, xmin=xmin, ks_distance=distance, n_tail=n_tail)
 
@@ -281,23 +299,23 @@ def ccdf(sample: Sequence[float]) -> tuple[tuple[float, float], ...]:
     """Complementary cumulative distribution: (value, P(X >= value)) pairs
     for every distinct value, ascending; the smallest value maps to 1.
     Every value must be finite."""
-    x = np.asarray(list(sample), dtype=float)
-    if x.size == 0:
-        raise EmptyInputError("sample is empty")
-    if not np.isfinite(x).all():
-        raise ParameterError("sample values must be finite")
-    values, counts = np.unique(x, return_counts=True)
-    at_least = np.cumsum(counts[::-1])[::-1] / x.size
-    return tuple(zip(values.tolist(), at_least.tolist()))
+    values, counts = _distinct(sample, counts_only=False)
+    at_or_above = _suffix_sums(counts)
+    return tuple((value, count / at_or_above[0]) for value, count in zip(values, at_or_above))
 
 
-def _power_logpdf(x: np.ndarray, alpha: float, lower: float) -> np.ndarray:
-    return math.log(alpha - 1.0) - math.log(lower) - alpha * (np.log(x) - math.log(lower))
+# The log-densities below are per distinct value of the tail; a sum over the
+# tail weighs each by its multiplicity.
 
 
-def _exponential_logpdf(x: np.ndarray, lower: float) -> np.ndarray:
-    rate = 1.0 / (float(np.mean(x)) - lower)
-    return math.log(rate) - rate * (x - lower)
+def _power_logpdf(log_x: list[float], alpha: float, lower: float) -> list[float]:
+    head = math.log(alpha - 1.0) - math.log(lower)
+    return [head - alpha * (value - math.log(lower)) for value in log_x]
+
+
+def _exponential_logpdf(values: list[float], counts: list[int], lower: float) -> list[float]:
+    rate = 1.0 / (_weighted_sum(values, counts) / sum(counts) - lower)
+    return [math.log(rate) - rate * (value - lower) for value in values]
 
 
 def _nan_last(vertex: tuple[tuple[float, float], float]) -> tuple[bool, float]:
@@ -454,11 +472,7 @@ def _bounded_brent(
 
 
 def _direction(value: float) -> float:
-    if value < 0:
-        return -1.0
-    if value >= 0:
-        return 1.0
-    return math.nan
+    return -1.0 if value < 0 else 1.0 if value >= 0 else math.nan
 
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -487,56 +501,54 @@ def _log_ndtr(z: float) -> float:
     return -0.5 * z * z - math.log(-z) - 0.5 * math.log(2.0 * math.pi) + math.log(series)
 
 
-def _lognormal_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
+def _lognormal_fit(log_x: list[float], counts: list[int], lower: float) -> list[float] | None:
     """Lognormal truncated to [lower, infinity), fitted by Nelder-Mead over
-    (mu, log sigma).
+    (mu, log sigma): its log-densities at the optimum, or None if the search
+    failed or one is not finite.
 
     The negative log-likelihood depends on the tail only through n,
     S1 = sum(log x) and the centered sum of squares Q of log x:
     S1 + n (log sigma + log(2 pi) / 2 + log Phi((mu - log lower) / sigma))
     + (Q + n (mean(log x) - mu)^2) / (2 sigma^2), so each step costs O(1).
-    The per-observation terms are built once, at the optimum.
     """
-    log_x = np.log(x)
-    n = x.size
+    n = sum(counts)
     log_lower = math.log(lower)
-    center = float(np.mean(log_x))
-    squares = float(np.sum((log_x - center) ** 2))
-    constant = float(np.sum(log_x)) + 0.5 * n * math.log(2.0 * math.pi)
+    total = _weighted_sum(log_x, counts)
+    center = total / n
+    squares = _weighted_sum([(value - center) ** 2 for value in log_x], counts)
+    constant = total + 0.5 * n * math.log(2.0 * math.pi)
 
     def negative_loglik(mu: float, log_sigma: float) -> float:
         try:
             sigma = math.exp(log_sigma)
             log_tail = _log_ndtr((mu - log_lower) / sigma)
-            value = (
-                constant
-                + n * (log_sigma + log_tail)
-                + (squares + n * (center - mu) ** 2) / (2.0 * sigma * sigma)
-            )
+            value = (constant + n * (log_sigma + log_tail)
+                     + (squares + n * (center - mu) ** 2) / (2.0 * sigma * sigma))
         except (OverflowError, ZeroDivisionError):
             return math.inf
         return value if math.isfinite(value) else math.inf
 
-    start = (center, math.log(float(np.std(log_x)) + 1e-3))
-    (mu, log_sigma), converged = _nelder_mead(
-        negative_loglik, start, xatol=1e-8, fatol=1e-8, maxiter=5000
-    )
-    with np.errstate(all="ignore"):
-        sigma = math.exp(log_sigma)
-        terms = (
-            -log_x
-            - log_sigma
-            - 0.5 * math.log(2.0 * math.pi)
-            - 0.5 * ((log_x - mu) / sigma) ** 2
-            - _log_ndtr((mu - log_lower) / sigma)
-        )
-    return terms, converged
+    start = (center, math.log(math.sqrt(squares / n) + 1e-3))
+    (mu, log_sigma), converged = _nelder_mead(negative_loglik, start, xatol=1e-8, fatol=1e-8,
+                                              maxiter=5000)
+    if not converged:
+        return None
+    sigma = math.exp(log_sigma)
+    log_tail = _log_ndtr((mu - log_lower) / sigma)
+    # z * z, not z ** 2: a square past the largest float is inf, not an error.
+    z = [(value - mu) / sigma for value in log_x]
+    terms = [-value - log_sigma - 0.5 * math.log(2.0 * math.pi) - 0.5 * (z_i * z_i) - log_tail
+             for value, z_i in zip(log_x, z)]
+    return terms if all(map(math.isfinite, terms)) else None
 
 
-def _stretched_exponential_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray, bool]:
+def _stretched_exponential_fit(
+    log_x: list[float], counts: list[int], lower: float
+) -> list[float] | None:
     """Stretched exponential truncated to [lower, infinity), density
     beta x^(beta-1) / M * exp(-(x^beta - lower^beta) / M) with M = lambda^beta,
-    fitted from its profile likelihood.
+    fitted from its profile likelihood: its log-densities at the optimum, or
+    None if the search failed or one is not finite.
 
     For a fixed shape beta the scale has a closed form, M(beta) =
     mean(x^beta) - lower^beta, so the fit is a bounded search over log beta
@@ -546,47 +558,48 @@ def _stretched_exponential_fit(x: np.ndarray, lower: float) -> tuple[np.ndarray,
     x^beta would overflow, and the fitted density would be far narrower
     than the tail.
     """
-    log_x = np.log(x)
-    n = x.size
+    n = sum(counts)
     log_lower = math.log(lower)
-    log_ratio = log_x - log_lower
-    total_ratio = float(np.sum(log_ratio))
+    log_ratio = [value - log_lower for value in log_x]
+    total_ratio = _weighted_sum(log_ratio, counts)
+
+    def mean_expm1(shape: float) -> float:
+        return _weighted_sum(map(math.expm1, map(mul, log_ratio, repeat(shape))), counts) / n
 
     def negative_profile(log_shape: float) -> float:
         # Minus the profile log-likelihood up to a constant:
         # n (log E(beta) - log beta) - beta sum(r).
         shape = math.exp(log_shape)
-        log_e = math.log(float(np.mean(np.expm1(shape * log_ratio))))
-        return n * (log_e - log_shape) - shape * total_ratio
+        return n * (math.log(mean_expm1(shape)) - log_shape) - shape * total_ratio
 
-    log_shape, converged = _bounded_brent(
-        negative_profile, -20.0, math.log(500.0 / float(np.max(log_ratio))), xatol=1e-8
-    )
+    log_shape, converged = _bounded_brent(negative_profile, -20.0,
+                                          math.log(500.0 / log_ratio[-1]), xatol=1e-8)
+    if not converged:
+        return None
     shape = math.exp(log_shape)
-    scaled = np.expm1(shape * log_ratio)
-    mean_scaled = float(np.mean(scaled))
-    terms = (
-        log_shape
-        - shape * log_lower
-        - math.log(mean_scaled)
-        + (shape - 1.0) * log_x
-        - scaled / mean_scaled
-    )
-    return terms, converged
+    mean_scaled = mean_expm1(shape)
+    head = log_shape - shape * log_lower - math.log(mean_scaled)
+    terms = [head + (shape - 1.0) * value - math.expm1(shape * r) / mean_scaled
+             for value, r in zip(log_x, log_ratio)]
+    return terms if all(map(math.isfinite, terms)) else None
 
 
-def _ratio_test(power_terms: np.ndarray, other_terms: np.ndarray) -> RatioTest:
-    """Normalized (Vuong-style) log-likelihood ratio test.
+def _ratio_test(
+    power_terms: list[float], other_terms: list[float], counts: list[int]
+) -> RatioTest:
+    """Normalized (Vuong-style) log-likelihood ratio test over a tail whose
+    distinct values have these log-densities and multiplicities.
 
     The significance comes from the per-observation ratio variance:
     p = erfc(|R| / (sqrt(2 n) sigma)).
     """
-    differences = power_terms - other_terms
-    ratio = float(np.sum(differences))
-    sigma = float(np.sqrt(np.mean((differences - np.mean(differences)) ** 2)))
+    n = sum(counts)
+    differences = list(map(sub, power_terms, other_terms))
+    ratio = _weighted_sum(differences, counts)
+    sigma = math.sqrt(_weighted_sum([(d - ratio / n) ** 2 for d in differences], counts) / n)
     if sigma == 0.0:
         return RatioTest(ratio, 1.0 if ratio == 0.0 else 0.0)
-    p_value = math.erfc(abs(ratio) / (math.sqrt(2.0 * differences.size) * sigma))
+    p_value = math.erfc(abs(ratio) / (math.sqrt(2.0 * n) * sigma))
     return RatioTest(ratio, p_value)
 
 
@@ -602,29 +615,23 @@ def compare_distributions(sample: Sequence[float], fit: PowerLawFit) -> ModelCom
     of that limit: its test reads ratio 0 and p-value 1, the two models
     being indistinguishable.
     """
-    x = _as_sample(sample)
-    tail = x[x >= fit.xmin]
-    if tail.size != fit.n_tail:
+    values, counts = _distinct(sample)
+    start = bisect_left(values, fit.xmin)
+    values, counts = values[start:], counts[start:]
+    if sum(counts) != fit.n_tail:
         raise ParameterError("fit does not correspond to the given sample")
     lower = fit.xmin - 0.5
-    power_terms = _power_logpdf(tail, fit.alpha, lower)
+    log_x = [math.log(value) for value in values]
+    power_terms = _power_logpdf(log_x, fit.alpha, lower)
 
-    exponential = _ratio_test(power_terms, _exponential_logpdf(tail, lower))
-
-    results = {}
-    for name, fitter in (
-        ("lognormal", _lognormal_fit),
-        ("stretched_exponential", _stretched_exponential_fit),
-    ):
-        terms, converged = fitter(tail, lower)
-        if converged and bool(np.all(np.isfinite(terms))):
-            test = _ratio_test(power_terms, terms)
-            results[name] = test if test.ratio <= 0.0 else RatioTest(0.0, 1.0)
-        else:
-            results[name] = RatioTest(math.nan, math.nan, converged=False)
+    def against(terms: list[float] | None) -> RatioTest:
+        if terms is None:
+            return RatioTest(math.nan, math.nan, converged=False)
+        test = _ratio_test(power_terms, terms, counts)
+        return test if test.ratio <= 0.0 else RatioTest(0.0, 1.0)
 
     return ModelComparison(
-        exponential=exponential,
-        lognormal=results["lognormal"],
-        stretched_exponential=results["stretched_exponential"],
+        exponential=_ratio_test(power_terms, _exponential_logpdf(values, counts, lower), counts),
+        lognormal=against(_lognormal_fit(log_x, counts, lower)),
+        stretched_exponential=against(_stretched_exponential_fit(log_x, counts, lower)),
     )

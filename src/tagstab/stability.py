@@ -4,6 +4,7 @@ rank overlap exceeds a threshold, evaluated over a (t, k) grid."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -123,13 +124,13 @@ def stability_surface(
     rows = []
     eligible_counts = []
     for t in t_grid:
-        values = per_t[t]
+        values = sorted(per_t[t])
         if not values:
             raise InsufficientDataError(f"no stream is long enough for t={t}")
-        eligible_counts.append(len(values))
-        rows.append(
-            tuple(sum(1 for v in values if v > k) / len(values) for k in k_grid)
-        )
+        n = len(values)
+        eligible_counts.append(n)
+        # n - bisect_right(values, k) counts the values strictly above k.
+        rows.append(tuple((n - bisect_right(values, k)) / n for k in k_grid))
     return StabilitySurface(
         t_grid=t_grid,
         k_grid=k_grid,

@@ -435,6 +435,22 @@ class TestSurfaceCommands:
         datasets = {line.split(",")[0] for line in lines[1:]}
         assert datasets == {"sim", "other"}
 
+    def test_compare_refuses_two_logs_with_one_stem(self, simulated_log, tmp_path, capsys):
+        # Both would label their rows "sim".  The same path twice is one dataset.
+        other = tmp_path / "elsewhere" / "sim.tsv"
+        other.parent.mkdir()
+        other.write_bytes(Path(simulated_log).read_bytes())
+        grids = ("--t-grid", "40:80:40", "--k-grid", "0.2:0.8:0.3")
+        code, stdout, err = run(capsys, "compare", simulated_log, str(other), *grids)
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"tagstab: error: logs {simulated_log!r} and {str(other)!r} "
+            "share the stem 'sim' that labels their rows\n"
+        )
+        code, stdout, _ = run(capsys, "compare", simulated_log, simulated_log, *grids)
+        assert code == 0
+        assert {line.split(",")[0] for line in stdout.splitlines()[1:]} == {"sim"}
+
     @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.1", "0:1:nan", "0:1:inf"])
     def test_non_finite_grid_is_usage_error(self, simulated_log, capsys, grid):
         code, _, err = run(

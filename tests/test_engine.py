@@ -131,22 +131,26 @@ def test_window_rbo_matches_dense_reference(corpus, snapshots, variant, p):
             assert_same(window_rbo(stream, t, p, WINDOW, variant), reference)
 
 
+# The largest grid the CLI accepts.
+FINE_K_GRID = tuple(i / 10_000 for i in range(10_001))
+
+
 @pytest.mark.parametrize("p", PS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_stability_surface_matches_dense_reference(corpus, snapshots, variant, p):
     t_grid = (10, 20, 60, 120, 200, 300)
-    k_grid = (0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
     per_t = {t: [] for t in t_grid}
     for expected in reference_points(snapshots, RboParams(p, variant)):
         for t, value in expected:
             if t in per_t:
                 per_t[t].append(value)
-    surface = stability_surface(corpus, t_grid, k_grid, p, WINDOW, variant)
-    assert surface.n_eligible == tuple(len(per_t[t]) for t in t_grid)
-    assert surface.values == tuple(
-        tuple(sum(v > k for v in per_t[t]) / len(per_t[t]) for k in k_grid)
-        for t in t_grid
-    )
+    for k_grid in ((0.0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9), FINE_K_GRID):
+        surface = stability_surface(corpus, t_grid, k_grid, p, WINDOW, variant)
+        assert surface.n_eligible == tuple(len(per_t[t]) for t in t_grid)
+        assert surface.values == tuple(
+            tuple(sum(v > k for v in per_t[t]) / len(per_t[t]) for k in k_grid)
+            for t in t_grid
+        )
 
 
 @pytest.mark.parametrize("p", PS)

@@ -7,10 +7,11 @@ a non-ASCII tag and a resource id holding a comma, and one log whose every
 row is rejected.  Each run is pinned by the sha256 of its stdout and stderr
 and by its exit code.
 
-`powerlaw` goes through numpy's vectorized `log` and `expm1` and through
-numpy's summation, whose last bit can differ between CPUs and numpy
-versions.  Its stdout is therefore pinned by cell: text cells exactly, and
-numeric cells to one unit in their sixth significant digit.
+`powerlaw` goes through libm's `log` and `expm1`, whose last bit can
+differ between platforms, and sums with `math.fsum`; a last-bit change
+can move where its optimizers stop.  Its stdout is therefore pinned by
+cell: text cells exactly, and numeric cells to one unit in their sixth
+significant digit.
 """
 
 import csv

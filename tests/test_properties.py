@@ -10,8 +10,20 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tagstab import ParameterError, TagStream, ingest_tag_log, write_tag_log
+from tagstab import (
+    ParameterError,
+    RboParams,
+    TagStream,
+    ingest_tag_log,
+    kl_topk_trajectory,
+    rbo_trajectory,
+    snapshot,
+    stability_surface,
+    window_rbo,
+    write_tag_log,
+)
 from tagstab.cli import main
+from test_engine import VARIANTS, dense_rbo, reference_kl
 
 CLEAN_IDS = ("r1", "r2", "R3", "r 4", "ü")
 CLEAN_TAGS = ("a", "b", "c d", "ü", "1")
@@ -129,3 +141,69 @@ def test_any_log_exits_zero_or_two_and_two_writes_nothing(tmp_path_factory, log)
         assert code in (0, 2), (command, err.getvalue())
         if code == 2:
             assert out.getvalue() == "", command
+
+
+# The checkpoint engine against its references, on columns drawn over a
+# 7-tag alphabet: small alphabets give the long tied groups that generator
+# corpora rarely reach.
+ALPHABET = "abcdefg"
+RBO_PS = (0.0, 0.3, 0.9, 0.999)
+
+
+@st.composite
+def windowed_columns(draw, count=1):
+    """A window of 1 to 7 and ``count`` tag columns of at most 60 tags, the
+    first at least two windows long."""
+    window = draw(st.integers(1, 7))
+    first = draw(st.lists(st.sampled_from(ALPHABET), min_size=2 * window, max_size=60))
+    others = [draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=60))
+              for _ in range(count - 1)]
+    return window, [first, *others]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=windowed_columns(), variant=st.sampled_from(VARIANTS), p=st.sampled_from(RBO_PS))
+def test_rbo_trajectory_is_the_dense_rbo_at_every_checkpoint(drawn, variant, p):
+    window, (tags,) = drawn
+    stream = TagStream("r", tags)
+    params = RboParams(p, variant)
+    points = rbo_trajectory(stream, window, params).points
+    checkpoints = range(2 * window, len(tags) + 1, window)
+    assert [t for t, _ in points] == list(checkpoints)
+    for t, value in points:
+        expected = dense_rbo(snapshot(stream, t - window), snapshot(stream, t), params)
+        assert abs(value - expected) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(drawn=windowed_columns(), top_k=st.integers(1, 9))
+def test_kl_trajectory_is_the_counter_reference(drawn, top_k):
+    window, (tags,) = drawn
+    stream = TagStream("r", tags)
+    assert kl_topk_trajectory(stream, window, top_k) == reference_kl(stream, window, top_k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    drawn=windowed_columns(count=3),
+    variant=st.sampled_from(VARIANTS),
+    p=st.sampled_from(RBO_PS),
+    data=st.data(),
+)
+def test_surface_counts_window_rbo_per_stream(drawn, variant, p, data):
+    window, columns = drawn
+    streams = [TagStream(f"r{i}", tags) for i, tags in enumerate(columns)]
+    checkpoints = range(2 * window, len(columns[0]) + 1, window)
+    t_grid = sorted(data.draw(st.sets(st.sampled_from(checkpoints), min_size=1, max_size=4)))
+    per_t = {t: [window_rbo(s, t, p, window, variant) for s in streams if len(s) >= t]
+             for t in t_grid}
+    # Thresholds drawn from the values themselves test the strict comparison.
+    # (The plain variant can exceed 1 on tied rankings; k cannot.)
+    values = {v for vs in per_t.values() for v in vs if 0.0 <= v <= 1.0}
+    thresholds = st.sampled_from(sorted({0.0, 1.0, *values}))
+    k_grid = sorted(data.draw(st.sets(st.one_of(thresholds, st.floats(0.0, 1.0)),
+                                      min_size=1, max_size=6)))
+    surface = stability_surface(streams, t_grid, k_grid, p, window, variant)
+    for t, row in zip(t_grid, surface.values):
+        values = per_t[t]
+        assert row == tuple(sum(v > k for v in values) / len(values) for k in k_grid)
