@@ -1,51 +1,30 @@
 """Synthetic tagging streams: uniform draws, urn imitation, background
 knowledge, and the imitation/background mixture.
 
-Every stream is reproducible: stream i of a corpus is generated from an RNG
-seeded with (seed, i), so corpora are identical across runs and independent
-of generation order.
+Every stream is reproducible: stream i of a corpus is drawn from numpy's
+``default_rng(SeedSequence((seed, i)))``, so corpora are identical across
+runs and independent of generation order.  A corpus builds one generator
+and sets it to each stream's seeded state (``_reseed``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import numpy.random  # numpy loads it lazily, on the first draw otherwise
 
-from .errors import IngestionError, ParameterError
-from .streams import TagStream, normalize_tag
+from .errors import ParameterError
+# A background is read with the logs; both names are also exported from here.
+from .ingest import BackgroundDistribution, load_background  # noqa: F401
+from .streams import TagStream
 
 MODELS = ("random_uniform", "imitation", "background", "mixture")
 
 DEFAULT_VOCABULARY_SIZE = 100_000
 DEFAULT_ZIPF_EXPONENT = 1.0
-
-
-@dataclass(frozen=True)
-class BackgroundDistribution:
-    """A fixed token distribution modelling shared vocabulary knowledge."""
-
-    support: tuple[str, ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.support:
-            raise ParameterError("background support must be non-empty")
-        if len(self.support) != len(self.probabilities):
-            raise ParameterError(
-                "support and probabilities must have equal length"
-            )
-        if any(p < 0 or not math.isfinite(p) for p in self.probabilities):
-            raise ParameterError("probabilities must be finite and non-negative")
-        if abs(math.fsum(self.probabilities) - 1.0) > 1e-9:
-            raise ParameterError("probabilities must sum to 1 within 1e-9")
-
-    def __len__(self) -> int:
-        return len(self.support)
 
 
 def _token_name(index: int) -> str:
@@ -77,42 +56,6 @@ def zipf_background(vocabulary_size: int, exponent: float = 1.0) -> BackgroundDi
     return BackgroundDistribution(
         tuple(map(_token_name, range(vocabulary_size))),
         tuple(_zipf_probabilities(vocabulary_size, exponent).tolist()),
-    )
-
-
-def load_background(rows: Iterable[tuple[str, float]]) -> BackgroundDistribution:
-    """Background distribution from (token, count) rows.
-
-    Tokens are normalized (stripped, lowercased) and repeated tokens have
-    their counts merged; probabilities are counts divided by the total.  A
-    merged count or a total that overflows a float is an IngestionError.
-    """
-    totals: dict[str, float] = {}
-    for row_number, (token, count) in enumerate(rows, start=1):
-        token = normalize_tag(token)
-        if not token:
-            raise IngestionError(f"row {row_number}: empty token")
-        if not math.isfinite(count) or count < 0:
-            raise IngestionError(
-                f"row {row_number}: count must be a non-negative number, got {count}"
-            )
-        merged = totals[token] = totals.get(token, 0.0) + float(count)
-        if not math.isfinite(merged):
-            raise IngestionError(
-                f"row {row_number}: the counts of {token!r} add up to more than a float holds"
-            )
-    if not totals:
-        raise IngestionError("background table has no rows")
-    try:
-        total = math.fsum(totals.values())
-    except OverflowError:
-        raise IngestionError(
-            "background table counts add up to more than a float holds"
-        ) from None
-    if total <= 0:
-        raise IngestionError("background table counts are all zero")
-    return BackgroundDistribution(
-        tuple(totals), tuple(c / total for c in totals.values())
     )
 
 
@@ -167,57 +110,133 @@ class GeneratorConfig:
         return size, exponent
 
 
-def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, stream_index)))
+_UINT32_MASK = 0xFFFFFFFF
+_UINT128_MASK = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_hash() -> tuple[tuple[int, int], ...]:
+    """The constant pairs of ``SeedSequence.generate_state(4, uint64)``:
+    its k-th 32-bit word hashes pool word k % 4 with the k-th pair (see
+    ``_reseed``)."""
+    constants = [0x8B51F9DD]
+    for _ in range(8):
+        constants.append(constants[-1] * 0x58F38DED & _UINT32_MASK)
+    return tuple(zip(constants, constants[1:]))
+
+
+_SEED_HASH = _seed_hash()
+
+
+def _generator() -> np.random.Generator:
+    """A PCG64 generator for ``_reseed`` to set; its own seed is never used."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
+def _reseed(rng: np.random.Generator, seed: int, stream_index: int) -> np.random.Generator:
+    """Set ``rng`` to the state of ``default_rng(SeedSequence((seed,
+    stream_index)))`` and return it, without building a generator.
+
+    numpy seeds PCG64 with ``generate_state(4, uint64)`` of the seed
+    sequence's pool: eight 32-bit words, word k being ``h ^ h >> 16`` for
+    ``h = (pool[k % 4] ^ x) * m mod 2**32`` with the k-th pair (x, m) of
+    ``_SEED_HASH``.  Paired little end first, they make the 128-bit initial
+    state and stream selector.  PCG64's seeding then makes the increment
+    ``selector << 1 | 1`` and steps the LCG twice, adding the initial state
+    in between.
+    """
+    pool = np.random.SeedSequence((seed, stream_index)).pool.tolist()
+    w0, w1, w2, w3, w4, w5, w6, w7 = [
+        (word := (entropy ^ constant) * multiplier & _UINT32_MASK) ^ word >> 16
+        for entropy, (constant, multiplier) in zip(pool * 2, _SEED_HASH)
+    ]
+    initial = w1 << 96 | w0 << 64 | w3 << 32 | w2
+    increment = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _UINT128_MASK | 1
+    state = ((initial + increment) * _PCG64_MULTIPLIER + increment) & _UINT128_MASK
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": increment},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 _DOUBLE_SCALE = 2.0**-53
-_UINT32_MASK = 0xFFFFFFFF
+# Words are read in blocks of at most this many; it must be at least 2,
+# the most a step reads barring Lemire rejections.
 _RAW_BLOCK = 4096
 
 
-class _RawDraws:
-    """``rng.random()`` and ``rng.integers(0, n)`` of a fresh PCG64-backed
-    Generator, read from its raw words in blocks of at most ``_RAW_BLOCK``.
+def _more_words(words: list[int], used: int, raw, block: int) -> list[int]:
+    """The unread words of ``words`` followed by a fresh block."""
+    return words[used:] + raw(block).tolist()
 
-    A double is the top 53 bits of one word (numpy's ``next_double``).  A
-    bounded integer is Lemire's method on 32-bit draws; a 32-bit draw is the
-    low half of a fresh word, and the high half is kept for the next 32-bit
-    draw (PCG64's ``next_uint32``).  Doubles do not touch that kept half.
-    Words are read in blocks of ``min(words_needed, _RAW_BLOCK)``, which
-    must be at least 1.  Words read ahead of need are never used, so the
-    generator must serve nothing else afterwards.
+
+def _mixture_origins(raw, length: int, imitation_rate: float) -> tuple[list[int], list[float]]:
+    """The draws of one mixture stream with ``0 < imitation_rate``, as
+    ``rng.random()`` and ``rng.integers(0, t)`` would make them step by
+    step, read from the generator's raw words (``raw`` is its
+    ``random_raw``).
+
+    Returns, for every step, the index of the background draw whose token
+    it carries (its own, or by imitation that of the step it copies), and
+    the background uniforms.
+
+    A double is the top 53 bits of a word, so the imitation coin
+    ``double < rate`` is ``word < ceil(rate * 2**53) << 11``.  A bounded
+    integer is Lemire's method on 32-bit draws: a 32-bit draw is the low
+    half of a fresh word, and the high half is kept for the next 32-bit
+    draw; doubles do not touch the kept half.  ``integers(0, 1)`` draws
+    nothing.  Words are read in blocks of ``min(2 * length, _RAW_BLOCK)``;
+    words read ahead of need are never used.
     """
-
-    def __init__(self, rng: np.random.Generator, words_needed: int) -> None:
-        bit_generator = rng.bit_generator
-        size = min(words_needed, _RAW_BLOCK)
-        blocks = iter(lambda: bit_generator.random_raw(size).tolist(), None)
-        self._words = chain.from_iterable(blocks)
-        self._half: int | None = None
-
-    def random(self) -> float:
-        return (next(self._words) >> 11) * _DOUBLE_SCALE
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = next(self._words)
-        self._half = word >> 32
-        return word & _UINT32_MASK
-
-    def integers(self, n: int) -> int:
-        """``rng.integers(0, n)`` for 1 <= n <= 2**32; n = 1 draws nothing."""
-        if n == 1:
-            return 0
-        product = self._uint32() * n
-        if product & _UINT32_MASK < n:
-            threshold = (1 << 32) % n
-            while product & _UINT32_MASK < threshold:
-                product = self._uint32() * n
-        return product >> 32
+    coin = math.ceil(imitation_rate * 2**53) << 11
+    block = min(2 * length, _RAW_BLOCK)
+    words = raw(block).tolist()
+    uniforms = [(words[0] >> 11) * _DOUBLE_SCALE]
+    origins = [0]
+    add_uniform, add_origin = uniforms.append, origins.append
+    used, last = 1, len(words) - 1
+    half = -1  # the kept high half, or -1 when there is none
+    for t in range(1, length):
+        if used >= last:  # fewer than two words left
+            words = _more_words(words, used, raw, block)
+            used, last = 0, len(words) - 1
+        if words[used] < coin:
+            if t == 1:  # integers(0, 1) draws nothing
+                used += 1
+                add_origin(0)
+                continue
+            if half < 0:
+                word = words[used + 1]
+                used += 2
+                half = word >> 32
+                product = (word & _UINT32_MASK) * t
+            else:
+                used += 1
+                product = half * t
+                half = -1
+            if product & _UINT32_MASK < t:
+                threshold = (1 << 32) % t
+                while product & _UINT32_MASK < threshold:
+                    if half < 0:
+                        if used > last:
+                            words = _more_words(words, used, raw, block)
+                            used, last = 0, len(words) - 1
+                        word = words[used]
+                        used += 1
+                        half = word >> 32
+                        product = (word & _UINT32_MASK) * t
+                    else:
+                        product = half * t
+                        half = -1
+            add_origin(origins[product >> 32])
+        else:
+            add_origin(len(uniforms))
+            add_uniform((words[used + 1] >> 11) * _DOUBLE_SCALE)
+            used += 2
+    return origins, uniforms
 
 
 def _mixture_tags(
@@ -233,35 +252,23 @@ def _mixture_tags(
     draw proportional to current counts) with probability ``imitation_rate``
     and otherwise samples the background.  On the first step the urn is
     empty and the draw falls back to the background.  The imitation check
-    short-circuits when the rate is 0, so a pure-background configuration
+    is not drawn when the rate is 0, so a pure-background configuration
     consumes the identical random sequence.
 
     The draws are those of ``rng.random()`` and ``rng.integers(0, t)`` made
     step by step; the background tokens are then looked up all at once.
     """
-    imitates = imitation_rate > 0.0
-    # Barring Lemire rejections, a step takes at most two words: the
-    # imitation check's double, then a background double or a word that
-    # serves two 32-bit draws.
-    draws = _RawDraws(rng, 2 * length if imitates else length)
-    random, integers = draws.random, draws.integers
-    # sources[t] is the earlier step that step t copies, or -1 for a
-    # background draw, whose uniform goes to ``uniforms``.
-    sources: list[int] = []
-    uniforms: list[float] = []
-    for t in range(length):
-        if t > 0 and imitates and random() < imitation_rate:
-            sources.append(integers(t))
-        else:
-            sources.append(-1)
-            uniforms.append(random())
+    raw = rng.bit_generator.random_raw
+    if imitation_rate > 0.0:
+        origins, uniforms = _mixture_origins(raw, length, imitation_rate)
+    else:
+        # Every word is a background double; as an array the words take no
+        # more room than the stream.
+        origins, uniforms = None, (raw(length) >> 11) * _DOUBLE_SCALE
     # Searching all but the last bound clamps the index to the last token.
     indices = cumulative[:-1].searchsorted(uniforms, side="right")
-    names = map(support.__getitem__, indices.tolist())
-    tags: list[str] = []
-    for source in sources:
-        tags.append(next(names) if source < 0 else tags[source])
-    return tags
+    names = list(map(support.__getitem__, indices.tolist()))
+    return names if origins is None else list(map(names.__getitem__, origins))
 
 
 def _prepare(config: GeneratorConfig):
@@ -277,25 +284,25 @@ def _prepare(config: GeneratorConfig):
     return _TokenNames(), np.cumsum(probabilities)
 
 
-def _uniform_draws(config: GeneratorConfig, stream_index: int) -> list[int]:
-    """The token indices of stream ``stream_index`` of a random_uniform
-    corpus, which names token i ``_token_name(i)``."""
-    rng = _stream_rng(config.seed, stream_index)
+def _uniform_draws(rng: np.random.Generator, config: GeneratorConfig) -> list[int]:
+    """The token indices of a random_uniform stream drawn with ``rng``; the
+    corpus names token i ``_token_name(i)``."""
     return rng.integers(0, config.vocabulary_size, size=config.length).tolist()
 
 
-def _generate_with(config: GeneratorConfig, stream_index: int, prepared) -> TagStream:
+def _generate_with(
+    config: GeneratorConfig, stream_index: int, prepared, rng: np.random.Generator
+) -> TagStream:
     support, cumulative = prepared
+    _reseed(rng, config.seed, stream_index)
     if config.model == "random_uniform":
-        tags = [support[i] for i in _uniform_draws(config, stream_index)]
+        tags = [support[i] for i in _uniform_draws(rng, config)]
     elif config.model == "imitation":
         # Pure urn dynamics never introduce a token beyond the bootstrap
         # draw, so the stream repeats its first token whatever the urn picks
         # are; they are not drawn.
-        rng = _stream_rng(config.seed, stream_index)
         tags = [support[int(rng.integers(0, config.vocabulary_size))]] * config.length
     else:
-        rng = _stream_rng(config.seed, stream_index)
         rate = config.imitation_rate if config.model == "mixture" else 0.0
         tags = _mixture_tags(rng, config.length, rate, support, cumulative)
     return TagStream(f"stream-{stream_index:05d}", tags)
@@ -305,10 +312,13 @@ def generate_stream(config: GeneratorConfig, stream_index: int = 0) -> TagStream
     """Generate stream ``stream_index`` of the configured corpus."""
     if stream_index < 0:
         raise ParameterError(f"stream index must be >= 0, got {stream_index}")
-    return _generate_with(config, stream_index, _prepare(config))
+    return _generate_with(config, stream_index, _prepare(config), _generator())
 
 
 def generate_corpus(config: GeneratorConfig) -> tuple[TagStream, ...]:
-    """All ``n_streams`` streams of the corpus, in index order."""
-    prepared = _prepare(config)
-    return tuple(_generate_with(config, index, prepared) for index in range(config.n_streams))
+    """All ``n_streams`` streams of the corpus, in index order, drawn with
+    one generator."""
+    prepared, rng = _prepare(config), _generator()
+    return tuple(
+        _generate_with(config, index, prepared, rng) for index in range(config.n_streams)
+    )

@@ -1,5 +1,5 @@
 """File ingestion and serialization: tag logs, raw-text corpora, and
-background frequency tables.
+background frequency tables with the distribution they define.
 
 Tag logs are delimited UTF-8 text (tab by default) with a header naming the
 columns ``resource_id``, ``tag``, ``seq`` and optionally ``user_id``, which
@@ -11,16 +11,17 @@ and counted rather than aborting the load.
 from __future__ import annotations
 
 import gc
+import math
 import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from statistics import mean, median
 from typing import Iterable
 
 from .errors import IngestionError, ParameterError
-from .generators import BackgroundDistribution, load_background
 from .streams import TagStream, normalize_tag
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -270,6 +271,65 @@ def ingest_text_corpus(
     return streams, _report(streams, rejected)
 
 
+@dataclass(frozen=True)
+class BackgroundDistribution:
+    """A fixed token distribution modelling shared vocabulary knowledge."""
+
+    support: tuple[str, ...]
+    probabilities: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.support:
+            raise ParameterError("background support must be non-empty")
+        if len(self.support) != len(self.probabilities):
+            raise ParameterError(
+                "support and probabilities must have equal length"
+            )
+        if any(p < 0 or not math.isfinite(p) for p in self.probabilities):
+            raise ParameterError("probabilities must be finite and non-negative")
+        if abs(math.fsum(self.probabilities) - 1.0) > 1e-9:
+            raise ParameterError("probabilities must sum to 1 within 1e-9")
+
+    def __len__(self) -> int:
+        return len(self.support)
+
+
+def load_background(rows: Iterable[tuple[str, float]]) -> BackgroundDistribution:
+    """Background distribution from (token, count) rows.
+
+    Tokens are normalized (stripped, lowercased) and repeated tokens have
+    their counts merged; probabilities are counts divided by the total.  A
+    merged count or a total that overflows a float is an IngestionError.
+    """
+    totals: dict[str, float] = {}
+    for row_number, (token, count) in enumerate(rows, start=1):
+        token = normalize_tag(token)
+        if not token:
+            raise IngestionError(f"row {row_number}: empty token")
+        if not math.isfinite(count) or count < 0:
+            raise IngestionError(
+                f"row {row_number}: count must be a non-negative number, got {count}"
+            )
+        merged = totals[token] = totals.get(token, 0.0) + float(count)
+        if not math.isfinite(merged):
+            raise IngestionError(
+                f"row {row_number}: the counts of {token!r} add up to more than a float holds"
+            )
+    if not totals:
+        raise IngestionError("background table has no rows")
+    try:
+        total = math.fsum(totals.values())
+    except OverflowError:
+        raise IngestionError(
+            "background table counts add up to more than a float holds"
+        ) from None
+    if total <= 0:
+        raise IngestionError("background table counts are all zero")
+    return BackgroundDistribution(
+        tuple(totals), tuple(c / total for c in totals.values())
+    )
+
+
 def read_background_file(path: str | Path) -> BackgroundDistribution:
     """Parse a headerless ``token<TAB>count`` table into a background
     distribution; empty lines are ignored."""
@@ -294,6 +354,17 @@ def read_background_file(path: str | Path) -> BackgroundDistribution:
     return load_background(pairs)
 
 
+def _unwritable(value: str, read, delimiter: str) -> str | None:
+    """Why ``value`` would not read back as written by ``read``, or None."""
+    if delimiter in value or "\n" in value or "\r" in value:
+        return "holds the delimiter or a line break and cannot be written"
+    if not value:
+        return "is empty"
+    if read(value) != value:
+        return f"would read back as {read(value)!r}"
+    return None
+
+
 def write_tag_log(
     streams: Iterable[TagStream], path: str | Path, delimiter: str = "\t"
 ) -> None:
@@ -305,35 +376,34 @@ def write_tag_log(
     resource id that repeats, a stream with no tags, a resource id or tag
     that is empty or holds the delimiter, a newline or a carriage return, a
     resource id with surrounding whitespace, and a tag that differs from
-    ``normalize_tag(tag)``.
+    ``normalize_tag(tag)``.  The error names the first such field in
+    resource order, and within a stream its first bad tag.
     """
     streams = sorted(streams, key=lambda s: s.resource_id)
+    writable: set[str] = set()  # tags already checked, each checked once
     for i, stream in enumerate(streams):
-        if i and streams[i - 1].resource_id == stream.resource_id:
-            raise ParameterError(f"resource {stream.resource_id!r} repeats")
+        resource_id = stream.resource_id
+        if i and streams[i - 1].resource_id == resource_id:
+            raise ParameterError(f"resource {resource_id!r} repeats")
         if not stream.tags:
-            raise ParameterError(f"resource {stream.resource_id!r} has no tags")
-        for name, values, read in (
-            ("resource id", (stream.resource_id,), str.strip),
-            ("tag", dict.fromkeys(stream.tags), normalize_tag),
-        ):
-            for value in values:  # each distinct string once, first seen first
-                if delimiter in value or "\n" in value or "\r" in value:
-                    problem = "holds the delimiter or a line break and cannot be written"
-                elif not value:
-                    problem = "is empty"
-                elif read(value) != value:
-                    problem = f"would read back as {read(value)!r}"
-                else:
-                    continue
-                raise ParameterError(
-                    f"resource {stream.resource_id!r}: {name} {value!r} {problem}"
-                )
+            raise ParameterError(f"resource {resource_id!r} has no tags")
+        problem = _unwritable(resource_id, str.strip, delimiter)
+        if problem is not None:
+            raise ParameterError(
+                f"resource {resource_id!r}: resource id {resource_id!r} {problem}"
+            )
+        if writable.issuperset(stream.tags):
+            continue
+        for tag in stream.tags:
+            if tag not in writable:
+                problem = _unwritable(tag, normalize_tag, delimiter)
+                if problem is not None:
+                    raise ParameterError(f"resource {resource_id!r}: tag {tag!r} {problem}")
+                writable.add(tag)
+    # Row n of every stream ends the same way.
+    endings = [f"{delimiter}{seq}\n" for seq in range(1, max(map(len, streams), default=0) + 1)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(delimiter.join(("resource_id", "tag", "seq")) + "\n")
         for stream in streams:
-            prefix = stream.resource_id + delimiter
-            handle.writelines(
-                f"{prefix}{tag}{delimiter}{seq}\n"
-                for seq, tag in enumerate(stream.tags, start=1)
-            )
+            rows = zip(repeat(stream.resource_id + delimiter), stream.tags, endings)
+            handle.write("".join(chain.from_iterable(rows)))

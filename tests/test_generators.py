@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from tagstab import (
     snapshot,
     zipf_background,
 )
-from tagstab.generators import _mixture_tags, _RawDraws
+import tagstab.generators
+from tagstab.generators import _generator, _mixture_tags, _reseed
 
 
 class TestZipfBackground:
@@ -217,48 +219,263 @@ def zipf_table(vocabulary_size):
     return background.support, np.cumsum(np.asarray(background.probabilities))
 
 
+class RawDraws:
+    """``rng.random()`` and ``rng.integers(0, n)`` by numpy's rules for a
+    PCG64-backed Generator, read from a given sequence of raw words.
+
+    A double is the top 53 bits of one word.  A bounded integer is
+    Lemire's method on 32-bit draws; a 32-bit draw is the low half of a
+    fresh word, and the high half is kept for the next 32-bit draw.
+    ``rejections`` counts rejected 32-bit draws; ``crossings`` counts kept
+    halves used after a word of a later block of ``block`` words was read.
+    """
+
+    def __init__(self, words, block=None):
+        self._words = iter(words)
+        self._block = block
+        self._read = -1  # index of the last word read
+        self._half = None  # (kept half, index of its word)
+        self.rejections = 0
+        self.crossings = 0
+
+    def _word(self):
+        self._read += 1
+        return next(self._words)
+
+    def random(self):
+        return (self._word() >> 11) * 2.0**-53
+
+    def _uint32(self):
+        if self._half is not None:
+            (half, source), self._half = self._half, None
+            if self._block and self._read // self._block > source // self._block:
+                self.crossings += 1
+            return half
+        word = self._word()
+        self._half = (word >> 32, self._read)
+        return word & 0xFFFFFFFF
+
+    def integers(self, low, high):
+        assert low == 0 and 1 <= high <= 2**32
+        if high == 1:
+            return 0
+        product = self._uint32() * high
+        threshold = (1 << 32) % high
+        while product & 0xFFFFFFFF < threshold:
+            self.rejections += 1
+            product = self._uint32() * high
+        return product >> 32
+
+
+class ScriptedGenerator:
+    """A stand-in for a Generator whose bit generator hands out the given
+    words in order, recording the size of every read."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = iter(words)
+        self.reads = []
+
+    def random_raw(self, size):
+        self.reads.append(size)
+        words = list(islice(self._words, size))
+        assert len(words) == size, "the script ran out of words"
+        return np.array(words, dtype=np.uint64)
+
+
+def stream_words(seed, count, index=0):
+    return np.random.PCG64(np.random.SeedSequence((seed, index))).random_raw(count).tolist()
+
+
 class TestRawDraws:
+    """The test oracle ``RawDraws`` against numpy's own draws, and the
+    blocks ``_mixture_tags`` reads raw words in."""
+
     @pytest.mark.parametrize(
         "n", [1, 2, 3, 7, 40, 2999, 3000, 3 * 2**30, 2**32 - 1, 2**32]
     )
     def test_matches_numpy_calls(self, n):
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            # Blocks of three words: the kept half crosses block boundaries.
-            draws = _RawDraws(np.random.default_rng(seed), 3)
+            draws = RawDraws(np.random.default_rng(seed).bit_generator.random_raw(1000).tolist())
             for step in range(300):
                 # Doubles fall between some bounded draws and not others, so
                 # a 32-bit draw sometimes takes a kept high half.
                 if step % 3 == 0:
                     assert draws.random() == rng.random()
-                assert draws.integers(n) == int(rng.integers(0, n))
+                assert draws.integers(0, n) == int(rng.integers(0, n))
             assert draws.random() == rng.random()
 
     def test_rejection_branch_runs(self):
         # At n = 3 * 2**30 a quarter of the 32-bit draws are rejected.
         n = 3 * 2**30
         rng = np.random.default_rng(1)
-        draws = _RawDraws(np.random.default_rng(1), 64)
-        taken = 0
-        uint32 = draws._uint32
-
-        def counted():
-            nonlocal taken
-            taken += 1
-            return uint32()
-
-        draws._uint32 = counted
+        draws = RawDraws(np.random.default_rng(1).bit_generator.random_raw(1000).tolist())
         for _ in range(400):
-            assert draws.integers(n) == int(rng.integers(0, n))
-        assert taken > 450
+            assert draws.integers(0, n) == int(rng.integers(0, n))
+        assert draws.rejections > 50
 
     @pytest.mark.parametrize("needed, block", [(80, 80), (10**9, 4096)])
     def test_reads_one_bounded_block_at_a_time(self, needed, block):
+        # A mixture stream of ``needed // 2`` steps reads min(needed,
+        # _RAW_BLOCK) words, and reads again only once they run short.
+        class Stop(Exception):
+            pass
+
+        words = stream_words(0, 2 * block)
+        scripted = ScriptedGenerator(words)
+        read = scripted.random_raw
+
+        def bounded(size):
+            if len(scripted.reads) == 2:
+                raise Stop
+            return read(size)
+
+        scripted.random_raw = bounded
+        support, cumulative = zipf_table(1000)
+        try:
+            _mixture_tags(scripted, needed // 2, 0.7, support, cumulative)
+        except Stop:  # the stream needs more than two blocks
+            pass
+        assert scripted.reads == ([block] if needed == block else [block, block])
+
+
+class TestReseed:
+    SEEDS = (0, 1, 7, 42, 2**32 + 5, 2**64 + 1, 2**70 + 3)
+    INDICES = (*range(50), 2**31, 2**32 + 1)
+
+    def test_state_equals_numpy_seeding(self):
+        rng = _generator()
+        for seed in self.SEEDS:
+            for index in self.INDICES:
+                # An odd number of 32-bit draws leaves a kept half behind,
+                # which the new state must drop.
+                rng.integers(0, 10, size=3, dtype=np.uint32)
+                expected = np.random.PCG64(np.random.SeedSequence((seed, index))).state
+                assert _reseed(rng, seed, index).bit_generator.state == expected
+
+    def test_draws_equal_a_fresh_generator(self):
+        rng = _generator()
+        for index in (0, 1, 2**32 + 1):
+            expected = stream_rng(9, index)
+            _reseed(rng, 9, index)
+            assert rng.random() == expected.random()
+            assert rng.integers(0, 7, size=5).tolist() == expected.integers(0, 7, size=5).tolist()
+
+    def test_corpus_builds_one_generator(self, monkeypatch):
+        built = []
+
+        def counted():
+            built.append(1)
+            return _generator()
+
+        monkeypatch.setattr(tagstab.generators, "_generator", counted)
+        generate_corpus(GeneratorConfig(model="mixture", length=5, n_streams=20, imitation_rate=0.5))
+        assert len(built) == 1
+
+
+class TestDrawLoop:
+    """``_mixture_tags`` against ``reference_mixture`` at the edges that
+    bench-length streams do not reach."""
+
+    # Many equally likely tokens, so that a step copying the wrong earlier
+    # step almost always shows in the tags.
+    SUPPORT = tuple(f"t{i}" for i in range(1, 1001))
+    CUMULATIVE = np.cumsum(np.full(1000, 0.001))
+
+    def check(self, words, length, rate, block=None):
+        """``_mixture_tags`` on the scripted words equals the reference;
+        returns the reference's draws and the scripted reads."""
+        draws = RawDraws(words, block)
+        expected = reference_mixture(draws, length, rate, self.SUPPORT, self.CUMULATIVE)
+        scripted = ScriptedGenerator(words)
+        got = _mixture_tags(scripted, length, rate, self.SUPPORT, self.CUMULATIVE)
+        assert got == expected
+        assert max(scripted.reads) <= tagstab.generators._RAW_BLOCK
+        return draws, scripted.reads
+
+    @pytest.mark.parametrize("block", [2, 3, 4096])
+    def test_lemire_rejections(self, monkeypatch, block):
+        # A 32-bit draw of 0 is rejected at every t that is not a power of
+        # two: (0 * t) & 0xFFFFFFFF = 0 < 2**32 % t.  Runs of zero words
+        # make rejections follow one another, across kept halves and refills.
+        monkeypatch.setattr(tagstab.generators, "_RAW_BLOCK", block)
+        rejections = 0
+        for seed in range(6):
+            words = stream_words(seed, 2000)
+            for start in range(5, 2000, 17):
+                words[start:start + seed % 3 + 1] = [0] * (seed % 3 + 1)
+            draws, _ = self.check(words, 300, (0.5, 0.9)[seed % 2])
+            rejections += draws.rejections
+        assert rejections > 200
+
+    def test_one_rejection_against_numpy(self):
+        # PCG64 steps its state and then outputs it, so a state can be
+        # chosen whose next word is 0: at rate 1 and t = 3 the step's 32-bit
+        # draw is then 0 and rejected.  numpy itself is the oracle here.
+        multiplier = 0x2360ED051FC65DA44385DF649FCCF645
+        mask = (1 << 128) - 1
+        increment = np.random.PCG64(5).state["state"]["inc"]
         rng = np.random.default_rng(0)
-        _RawDraws(rng, needed).random()
-        expected = np.random.default_rng(0).bit_generator
-        expected.advance(block)
-        assert rng.bit_generator.state == expected.state
+        # Steps 0 and 2 take one word each and step 1 none; the word of
+        # step 3's coin comes next and then the zero word.  An output of 0
+        # comes from a state whose high and low halves are equal.
+        state = 0x1234_5678_9ABC_DEF0_1234_5678_9ABC_DEF0
+        for _ in range(4):  # back four steps from the state that outputs 0
+            state = (state - increment) * pow(multiplier, -1, 1 << 128) & mask
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": increment},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        saved = rng.bit_generator.state
+        assert rng.bit_generator.random_raw(4).tolist()[3] == 0
+        rng.bit_generator.state = saved
+        expected = reference_mixture(rng, 6, 1.0, self.SUPPORT, self.CUMULATIVE)
+        rng.bit_generator.state = saved
+        assert _mixture_tags(rng, 6, 1.0, self.SUPPORT, self.CUMULATIVE) == expected
+        rng.bit_generator.state = saved
+        words = rng.bit_generator.random_raw(20).tolist()
+        draws = RawDraws(words)
+        assert reference_mixture(draws, 6, 1.0, self.SUPPORT, self.CUMULATIVE) == expected
+        assert draws.rejections == 1
+
+    def test_kept_half_crosses_a_block_boundary(self, monkeypatch):
+        monkeypatch.setattr(tagstab.generators, "_RAW_BLOCK", 3)
+        crossings = 0
+        for seed in range(8):
+            for length in (2, 3, 5, 40):
+                rate = (0.3, 0.7, 1.0)[seed % 3]
+                support, cumulative = zipf_table(1000)
+                expected = reference_mixture(stream_rng(seed), length, rate, support, cumulative)
+                assert _mixture_tags(stream_rng(seed), length, rate, support, cumulative) == expected
+                draws, reads = self.check(stream_words(seed, 200), length, rate, block=3)
+                assert set(reads) == {3}
+                crossings += draws.crossings
+        assert crossings > 10
+
+    @pytest.mark.parametrize("rate", [1e-9, 0.9999])
+    def test_extreme_rates(self, rate):
+        support, cumulative = zipf_table(1000)
+        for seed in range(5):
+            for length in (2, 50, 5000):
+                expected = reference_mixture(stream_rng(seed), length, rate, support, cumulative)
+                assert _mixture_tags(stream_rng(seed), length, rate, support, cumulative) == expected
+
+    @pytest.mark.parametrize("rate", [1e-9, 0.3, 0.7, 0.9999])
+    def test_coin_at_its_boundary(self, rate):
+        # The largest word whose double is below the rate imitates; the
+        # next one up does not.
+        bound = math.ceil(rate * 2**53) << 11
+        assert ((bound - 1) >> 11) * 2.0**-53 < rate <= (bound >> 11) * 2.0**-53
+        words = stream_words(3, 400)
+        words[1::3] = [bound - 1 + (i & 1) for i in range(len(words[1::3]))]
+        self.check(words, 150, rate)
+
+    @pytest.mark.parametrize("block", [2, 4096])
+    def test_refills_of_a_long_stream(self, monkeypatch, block):
+        monkeypatch.setattr(tagstab.generators, "_RAW_BLOCK", block)
+        _, reads = self.check(stream_words(1, 20_000), 6000, 0.7)
+        assert len(reads) > 1 and set(reads) == {block}
 
 
 class TestMixtureDraws:

@@ -177,6 +177,23 @@ class TestTagLog:
             write_tag_log((TagStream("r", ["A\n"]),), tmp_path / "log.tsv")
         assert not (tmp_path / "log.tsv").exists()
 
+    def test_bad_tag_in_several_streams_names_the_first_stream(self, tmp_path):
+        # Each tag is checked once a call; the error still names the first
+        # stream in resource order and the first bad tag seen in it.
+        streams = (
+            TagStream("r3", ["Z", "b"]),
+            TagStream("r2", ["a", "c", "b", "Q", "B"]),
+            TagStream("r1", ["a", "b"]),
+            TagStream("r4", ["B"]),
+        )
+        with pytest.raises(ParameterError) as caught:
+            write_tag_log(streams, tmp_path / "log.tsv")
+        assert str(caught.value) == "resource 'r2': tag 'Q' would read back as 'q'"
+        with pytest.raises(ParameterError) as caught:
+            write_tag_log(streams[2:], tmp_path / "log.tsv")
+        assert str(caught.value) == "resource 'r4': tag 'B' would read back as 'b'"
+        assert not (tmp_path / "log.tsv").exists()
+
     def test_refused_characters_follow_the_delimiter(self, tmp_path):
         streams = (TagStream("r1", ["a\tb", "c"]),)
         with pytest.raises(ParameterError, match=r"tag 'a,b'"):

@@ -939,13 +939,19 @@ def test_overflow_makes_the_alternative_not_converged(oracle_sample, oracle_fit,
     assert reference.lognormal.converged is False
 
 
-@pytest.mark.parametrize("module", ["powerlaw.py", "cli.py"])
+@pytest.mark.parametrize("module", ["powerlaw.py", "cli.py", "ingest.py"])
 def test_imports_no_numpy(module):
     source = Path(tagstab.powerlaw.__file__).with_name(module).read_text(encoding="utf-8")
     imported = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            imported.add(package)
+            if not node.module:  # from . import name
+                imported.update(package + alias.name for alias in node.names)
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
+    if module == "ingest.py":
+        # generators imports numpy, and generators imports ingest.
+        assert imported.isdisjoint({".generators", "tagstab.generators"})

@@ -86,6 +86,41 @@ def test_written_log_reads_back_or_is_refused_untouched(tmp_path_factory, stream
     assert report.rows_rejected == 0
 
 
+def naive_tag_log(streams, delimiter):
+    """The bytes of a tag log written one formatted row at a time."""
+    rows = [delimiter.join(("resource_id", "tag", "seq")) + "\n"]
+    for stream in sorted(streams, key=lambda s: s.resource_id):
+        for seq, tag in enumerate(stream.tags, start=1):
+            rows.append(f"{stream.resource_id}{delimiter}{tag}{delimiter}{seq}\n")
+    return "".join(rows).encode("utf-8")
+
+
+@st.composite
+def writable_corpora(draw):
+    """Streams of up to 30 clean tags under distinct clean resource ids,
+    tags shared across streams."""
+    ids = draw(st.lists(st.sampled_from(CLEAN_IDS), min_size=1, max_size=5, unique=True))
+    return [
+        TagStream(resource_id, draw(st.lists(st.sampled_from(CLEAN_TAGS), min_size=1, max_size=30)))
+        for resource_id in ids
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    streams=st.one_of(writable_corpora(), stream_sets()),
+    delimiter=st.sampled_from(("\t", ",")),
+)
+def test_written_log_is_the_naive_writers_bytes(tmp_path_factory, streams, delimiter):
+    path = tmp_path_factory.mktemp("naive") / "log"
+    if not reads_back(streams, delimiter):
+        with pytest.raises(ParameterError):
+            write_tag_log(streams, path, delimiter)
+        return
+    write_tag_log(streams, path, delimiter)
+    assert path.read_bytes() == naive_tag_log(streams, delimiter)
+
+
 # Every command that reads one log, with windows small enough that a
 # drawn log can pass as well as fail.
 LOG_COMMANDS = (
