@@ -3,8 +3,7 @@ knowledge, and the imitation/background mixture.
 
 Every stream is reproducible: stream i of a corpus is drawn from numpy's
 ``default_rng(SeedSequence((seed, i)))``, so corpora are identical across
-runs and independent of generation order.  A corpus builds one generator
-and sets it to each stream's seeded state (``_reseed``).
+runs and independent of generation order.
 """
 
 from __future__ import annotations
@@ -42,9 +41,11 @@ class _TokenNames(dict):
 
 
 def _zipf_probabilities(vocabulary_size: int, exponent: float) -> np.ndarray:
-    ranks = np.arange(1, vocabulary_size + 1, dtype=float)
-    weights = ranks**-exponent
-    return weights / weights.sum()
+    # Built in place: the table is the only V-length array made.
+    weights = np.arange(1, vocabulary_size + 1, dtype=float)
+    weights **= -exponent
+    weights /= weights.sum()
+    return weights
 
 
 def zipf_background(vocabulary_size: int, exponent: float = 1.0) -> BackgroundDistribution:
@@ -111,55 +112,11 @@ class GeneratorConfig:
 
 
 _UINT32_MASK = 0xFFFFFFFF
-_UINT128_MASK = (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _seed_hash() -> tuple[tuple[int, int], ...]:
-    """The constant pairs of ``SeedSequence.generate_state(4, uint64)``:
-    its k-th 32-bit word hashes pool word k % 4 with the k-th pair (see
-    ``_reseed``)."""
-    constants = [0x8B51F9DD]
-    for _ in range(8):
-        constants.append(constants[-1] * 0x58F38DED & _UINT32_MASK)
-    return tuple(zip(constants, constants[1:]))
-
-
-_SEED_HASH = _seed_hash()
-
-
-def _generator() -> np.random.Generator:
-    """A PCG64 generator for ``_reseed`` to set; its own seed is never used."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
-def _reseed(rng: np.random.Generator, seed: int, stream_index: int) -> np.random.Generator:
-    """Set ``rng`` to the state of ``default_rng(SeedSequence((seed,
-    stream_index)))`` and return it, without building a generator.
-
-    numpy seeds PCG64 with ``generate_state(4, uint64)`` of the seed
-    sequence's pool: eight 32-bit words, word k being ``h ^ h >> 16`` for
-    ``h = (pool[k % 4] ^ x) * m mod 2**32`` with the k-th pair (x, m) of
-    ``_SEED_HASH``.  Paired little end first, they make the 128-bit initial
-    state and stream selector.  PCG64's seeding then makes the increment
-    ``selector << 1 | 1`` and steps the LCG twice, adding the initial state
-    in between.
-    """
-    pool = np.random.SeedSequence((seed, stream_index)).pool.tolist()
-    w0, w1, w2, w3, w4, w5, w6, w7 = [
-        (word := (entropy ^ constant) * multiplier & _UINT32_MASK) ^ word >> 16
-        for entropy, (constant, multiplier) in zip(pool * 2, _SEED_HASH)
-    ]
-    initial = w1 << 96 | w0 << 64 | w3 << 32 | w2
-    increment = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _UINT128_MASK | 1
-    state = ((initial + increment) * _PCG64_MULTIPLIER + increment) & _UINT128_MASK
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": increment},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng
+def _stream_rng(seed: int, stream_index: int) -> np.random.Generator:
+    """The generator of stream ``stream_index`` of a corpus seeded ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence((seed, stream_index)))
 
 
 _DOUBLE_SCALE = 2.0**-53
@@ -258,13 +215,14 @@ def _mixture_tags(
     The draws are those of ``rng.random()`` and ``rng.integers(0, t)`` made
     step by step; the background tokens are then looked up all at once.
     """
-    raw = rng.bit_generator.random_raw
     if imitation_rate > 0.0:
-        origins, uniforms = _mixture_origins(raw, length, imitation_rate)
+        origins, uniforms = _mixture_origins(
+            rng.bit_generator.random_raw, length, imitation_rate
+        )
     else:
-        # Every word is a background double; as an array the words take no
-        # more room than the stream.
-        origins, uniforms = None, (raw(length) >> 11) * _DOUBLE_SCALE
+        # Every draw is a background double; as an array they take no more
+        # room than the stream.
+        origins, uniforms = None, rng.random(length)
     # Searching all but the last bound clamps the index to the last token.
     indices = cumulative[:-1].searchsorted(uniforms, side="right")
     names = list(map(support.__getitem__, indices.tolist()))
@@ -278,10 +236,11 @@ def _prepare(config: GeneratorConfig):
     if config.model == "random_uniform" or config.model == "imitation":
         return _TokenNames(), None
     if config.background is not None:
-        background = config.background
-        return background.support, np.cumsum(np.asarray(background.probabilities))
-    probabilities = _zipf_probabilities(*config._zipf_parameters())
-    return _TokenNames(), np.cumsum(probabilities)
+        support = config.background.support
+        table = np.array(config.background.probabilities)
+    else:
+        support, table = _TokenNames(), _zipf_probabilities(*config._zipf_parameters())
+    return support, np.cumsum(table, out=table)
 
 
 def _uniform_draws(rng: np.random.Generator, config: GeneratorConfig) -> list[int]:
@@ -290,11 +249,9 @@ def _uniform_draws(rng: np.random.Generator, config: GeneratorConfig) -> list[in
     return rng.integers(0, config.vocabulary_size, size=config.length).tolist()
 
 
-def _generate_with(
-    config: GeneratorConfig, stream_index: int, prepared, rng: np.random.Generator
-) -> TagStream:
+def _generate_with(config: GeneratorConfig, stream_index: int, prepared) -> TagStream:
     support, cumulative = prepared
-    _reseed(rng, config.seed, stream_index)
+    rng = _stream_rng(config.seed, stream_index)
     if config.model == "random_uniform":
         tags = [support[i] for i in _uniform_draws(rng, config)]
     elif config.model == "imitation":
@@ -312,13 +269,10 @@ def generate_stream(config: GeneratorConfig, stream_index: int = 0) -> TagStream
     """Generate stream ``stream_index`` of the configured corpus."""
     if stream_index < 0:
         raise ParameterError(f"stream index must be >= 0, got {stream_index}")
-    return _generate_with(config, stream_index, _prepare(config), _generator())
+    return _generate_with(config, stream_index, _prepare(config))
 
 
 def generate_corpus(config: GeneratorConfig) -> tuple[TagStream, ...]:
-    """All ``n_streams`` streams of the corpus, in index order, drawn with
-    one generator."""
-    prepared, rng = _prepare(config), _generator()
-    return tuple(
-        _generate_with(config, index, prepared, rng) for index in range(config.n_streams)
-    )
+    """All ``n_streams`` streams of the corpus, in index order."""
+    prepared = _prepare(config)
+    return tuple(_generate_with(config, index, prepared) for index in range(config.n_streams))

@@ -367,7 +367,7 @@ def kl_random_baseline(
     ``kl_topk_trajectory`` over those streams.  Deterministic for a fixed
     seed.  A ``length`` below two windows is a ParameterError.
     """
-    from .generators import GeneratorConfig, _generator, _reseed, _uniform_draws
+    from .generators import GeneratorConfig, _stream_rng, _uniform_draws
 
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -386,9 +386,8 @@ def kl_random_baseline(
             f"trial length {length} is shorter than two windows of {window}"
         )
     sums: dict[int, float] = {}
-    rng = _generator()
     for index in range(trials):
-        trial = _uniform_draws(_reseed(rng, seed, index), config)
+        trial = _uniform_draws(_stream_rng(seed, index), config)
         for pos, value in _kl_points(trial, window, top_k):
             sums[pos] = sums.get(pos, 0.0) + value
     return tuple((pos, sums[pos] / trials) for pos in sorted(sums))

@@ -573,10 +573,10 @@ class TestUsageErrorsBeforeInput:
     def test_baseline_fails_before_drawing(self, capsys, monkeypatch):
         import tagstab.generators
 
-        def refuse(rng, seed, stream_index):
+        def refuse(seed, stream_index):
             raise AssertionError("a trial stream was seeded")
 
-        monkeypatch.setattr(tagstab.generators, "_reseed", refuse)
+        monkeypatch.setattr(tagstab.generators, "_stream_rng", refuse)
         for flag in ("--m", "--k"):
             code, stdout, _ = run(
                 capsys, "kl-baseline", "--vocab", "100", flag, "0", "--length", "100"

@@ -19,7 +19,7 @@ from tagstab import (
     zipf_background,
 )
 import tagstab.generators
-from tagstab.generators import _generator, _mixture_tags, _reseed
+from tagstab.generators import _mixture_tags, _prepare
 
 
 class TestZipfBackground:
@@ -340,40 +340,6 @@ class TestRawDraws:
         assert scripted.reads == ([block] if needed == block else [block, block])
 
 
-class TestReseed:
-    SEEDS = (0, 1, 7, 42, 2**32 + 5, 2**64 + 1, 2**70 + 3)
-    INDICES = (*range(50), 2**31, 2**32 + 1)
-
-    def test_state_equals_numpy_seeding(self):
-        rng = _generator()
-        for seed in self.SEEDS:
-            for index in self.INDICES:
-                # An odd number of 32-bit draws leaves a kept half behind,
-                # which the new state must drop.
-                rng.integers(0, 10, size=3, dtype=np.uint32)
-                expected = np.random.PCG64(np.random.SeedSequence((seed, index))).state
-                assert _reseed(rng, seed, index).bit_generator.state == expected
-
-    def test_draws_equal_a_fresh_generator(self):
-        rng = _generator()
-        for index in (0, 1, 2**32 + 1):
-            expected = stream_rng(9, index)
-            _reseed(rng, 9, index)
-            assert rng.random() == expected.random()
-            assert rng.integers(0, 7, size=5).tolist() == expected.integers(0, 7, size=5).tolist()
-
-    def test_corpus_builds_one_generator(self, monkeypatch):
-        built = []
-
-        def counted():
-            built.append(1)
-            return _generator()
-
-        monkeypatch.setattr(tagstab.generators, "_generator", counted)
-        generate_corpus(GeneratorConfig(model="mixture", length=5, n_streams=20, imitation_rate=0.5))
-        assert len(built) == 1
-
-
 class TestDrawLoop:
     """``_mixture_tags`` against ``reference_mixture`` at the edges that
     bench-length streams do not reach."""
@@ -579,3 +545,42 @@ class TestSyntheticVocabulary:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+class TestSeeding:
+    """Stream i of a corpus seeded s draws from
+    ``default_rng(SeedSequence((s, i)))``, for seeds and indices beyond 64
+    and 32 bits too."""
+
+    @pytest.mark.parametrize("model", ["random_uniform", "imitation", "background", "mixture"])
+    @pytest.mark.parametrize("seed, index", [
+        (2**64 + 1, 0), (2**70 + 3, 0), (2**70 + 3, 1), (9, 2**32 + 1),
+    ])
+    def test_large_seeds_and_indices_match_reference(self, model, seed, index):
+        config = GeneratorConfig(
+            model=model, length=300, seed=seed, imitation_rate=0.7, vocabulary_size=1000,
+        )
+        if model in ("random_uniform", "imitation"):
+            expected = reference_uniform(config, index)
+        else:
+            rate = 0.7 if model == "mixture" else 0.0
+            support, cumulative = zipf_table(1000)
+            expected = tuple(
+                reference_mixture(stream_rng(seed, index), 300, rate, support, cumulative)
+            )
+        assert generate_stream(config, index).tags == expected
+
+
+class TestPrepare:
+    def test_zipf_table_is_the_only_vocabulary_sized_array(self):
+        # The cumulative table of 100 000 doubles is 781 KB; building it
+        # must not hold several such arrays at once.
+        config = GeneratorConfig(model="mixture", length=10, vocabulary_size=100_000)
+        tracemalloc.start()
+        try:
+            _, cumulative = _prepare(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cumulative.nbytes == 800_000
+        assert peak < 1.5 * cumulative.nbytes
