@@ -17,7 +17,6 @@ from .generators import (
     zipf_background,
 )
 from .ingest import (
-    IngestionReport,
     ingest_tag_log,
     ingest_text_corpus,
     read_background_file,
@@ -26,7 +25,6 @@ from .ingest import (
 )
 from .measures import (
     RboParams,
-    RboTrajectory,
     kl_divergence,
     kl_random_baseline,
     kl_topk_trajectory,

@@ -110,7 +110,7 @@ def _final_counts(stream) -> list[int]:
 
 def _cmd_validate(args) -> int:
     _, report = ingest_tag_log(args.log, delimiter=args.delimiter)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -191,7 +191,7 @@ def _cmd_rbo(args) -> int:
     _write_per_stream(
         ["resource_id", "t", "rbo"],
         _load_streams(args),
-        lambda s: _point_rows(s, rbo_trajectory(s, args.window, params).points),
+        lambda s: _point_rows(s, rbo_trajectory(s, args.window, params)),
         "no stream is long enough for the requested window",
     )
     return 0

@@ -15,7 +15,7 @@ import math
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from statistics import mean, median
@@ -27,46 +27,21 @@ from .streams import TagStream, normalize_tag
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class IngestionReport:
-    """What a load accepted and what it threw away."""
-
-    streams_loaded: int
-    assignments_loaded: int
-    rows_rejected: int
-    reject_reasons: dict[str, int] = field(default_factory=dict)
-    length_min: int = 0
-    length_max: int = 0
-    length_mean: float = 0.0
-    length_median: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "streams_loaded": self.streams_loaded,
-            "assignments_loaded": self.assignments_loaded,
-            "rows_rejected": self.rows_rejected,
-            "reject_reasons": dict(self.reject_reasons),
-            "stream_lengths": {
-                "min": self.length_min,
-                "max": self.length_max,
-                "mean": self.length_mean,
-                "median": self.length_median,
-            },
-        }
-
-
-def _report(streams: tuple[TagStream, ...], rejected: Counter[str]) -> IngestionReport:
-    lengths = [len(s) for s in streams]
-    return IngestionReport(
-        streams_loaded=len(streams),
-        assignments_loaded=sum(lengths),
-        rows_rejected=sum(rejected.values()),
-        reject_reasons=dict(sorted(rejected.items())),
-        length_min=min(lengths) if lengths else 0,
-        length_max=max(lengths) if lengths else 0,
-        length_mean=float(mean(lengths)) if lengths else 0.0,
-        length_median=float(median(lengths)) if lengths else 0.0,
-    )
+def _report(streams: tuple[TagStream, ...], rejected: Counter[str]) -> dict:
+    """What a load accepted and what it threw away, as ``validate`` prints it."""
+    lengths = [len(s) for s in streams] or [0]
+    return {
+        "streams_loaded": len(streams),
+        "assignments_loaded": sum(lengths),
+        "rows_rejected": sum(rejected.values()),
+        "reject_reasons": dict(sorted(rejected.items())),
+        "stream_lengths": {
+            "min": min(lengths),
+            "max": max(lengths),
+            "mean": float(mean(lengths)),
+            "median": float(median(lengths)),
+        },
+    }
 
 
 @contextmanager
@@ -116,13 +91,14 @@ def _read_rows(
     path: str | Path,
     delimiter: str,
     required: tuple[str, ...],
-    make_parse,
-    rejected: Counter[str],
-) -> dict[str, dict[int, object]]:
-    """Read a delimited file with a header into ``{resource_id: {seq: value}}``.
+    value_column: str,
+    parse,
+) -> tuple[dict[str, dict[int, object]], Counter[str]]:
+    """Read a delimited file with a header into ``{resource_id: {seq: value}}``
+    and the count of rejected rows by reason.
 
-    ``make_parse(columns)`` returns the row parser: it maps a row's fields
-    to the value stored for it, or None to reject the row as "empty tag".
+    ``parse`` maps a row's ``value_column`` field to the value stored for
+    the row, or to None to reject the row as "empty tag".
     Rows are rejected and counted, in this order of precedence, as "blank
     line", "field count mismatch", "empty resource_id", "empty tag",
     "invalid seq" and "duplicate seq"; the first row wins a (resource, seq)
@@ -130,6 +106,7 @@ def _read_rows(
     it is ASCII digits with a value of at least 1.
     """
     by_resource: dict[str, dict[int, object]] = {}
+    rejected: Counter[str] = Counter()
     with _open_utf8(path) as handle:
         header = handle.readline()
         if not header:
@@ -138,7 +115,7 @@ def _read_rows(
         width = len(columns)
         resource_column = columns["resource_id"]
         seq_column = columns["seq"]
-        parse = make_parse(columns)
+        value_index = columns[value_column]
         for line in handle:
             line = line.rstrip("\r\n")
             if not line:
@@ -152,7 +129,7 @@ def _read_rows(
             if not resource_id:
                 rejected["empty resource_id"] += 1
                 continue
-            value = parse(parts)
+            value = parse(parts[value_index])
             if value is None:
                 rejected["empty tag"] += 1
                 continue
@@ -170,7 +147,7 @@ def _read_rows(
                 seqs[seq] = value
     if not by_resource:
         raise IngestionError(f"no rows accepted from {path}")
-    return by_resource
+    return by_resource, rejected
 
 
 def _in_seq_order(seqs: dict[int, object]) -> list:
@@ -179,8 +156,9 @@ def _in_seq_order(seqs: dict[int, object]) -> list:
 
 def ingest_tag_log(
     path: str | Path, delimiter: str = "\t"
-) -> tuple[tuple[TagStream, ...], IngestionReport]:
-    """Load a tag log into per-resource streams plus a load report.
+) -> tuple[tuple[TagStream, ...], dict]:
+    """Load a tag log into per-resource streams plus a load report, the
+    dict that ``validate`` prints.
 
     The first matching row wins on duplicate (resource, seq) pairs; rows
     with an empty tag after normalization, a seq that is not a positive
@@ -192,24 +170,17 @@ def ingest_tag_log(
     """
     interned: dict[str, str] = {}
 
-    def make_parse(columns):
-        tag_column = columns["tag"]
+    def parse(raw):
+        # A normalized tag normalizes to itself, so a raw field that is
+        # already a known tag needs no normalizing.
+        tag = interned.get(raw)
+        if tag is None:
+            tag = normalize_tag(raw)
+            tag = interned.setdefault(tag, tag) if tag else None
+        return tag
 
-        def parse(parts):
-            # A normalized tag normalizes to itself, so a raw field that is
-            # already a known tag needs no normalizing.
-            raw = parts[tag_column]
-            tag = interned.get(raw)
-            if tag is None:
-                tag = normalize_tag(raw)
-                tag = interned.setdefault(tag, tag) if tag else None
-            return tag
-
-        return parse
-
-    rejected: Counter[str] = Counter()
-    by_resource = _read_rows(
-        path, delimiter, ("resource_id", "tag", "seq"), make_parse, rejected
+    by_resource, rejected = _read_rows(
+        path, delimiter, ("resource_id", "tag", "seq"), "tag", parse
     )
     streams = tuple(
         TagStream(resource_id, _in_seq_order(by_resource[resource_id]))
@@ -232,7 +203,7 @@ def ingest_text_corpus(
     path: str | Path,
     stopwords: Iterable[str] | None = None,
     delimiter: str = "\t",
-) -> tuple[tuple[TagStream, ...], IngestionReport]:
+) -> tuple[tuple[TagStream, ...], dict]:
     """Interpret the words of per-resource texts as annotation streams,
     plus a load report.
 
@@ -246,21 +217,12 @@ def ingest_text_corpus(
     drop = {normalize_tag(w) for w in stopwords or ()}
     interned: dict[str, str] = {}
 
-    def make_parse(columns):
-        text_column = columns["text"]
+    def parse(text):
+        return [interned.setdefault(token, token) for token in _tokens(text, drop)]
 
-        def parse(parts):
-            return [
-                interned.setdefault(token, token)
-                for token in _tokens(parts[text_column], drop)
-            ]
-
-        return parse
-
-    rejected: Counter[str] = Counter()
     with _collector_paused():
-        by_resource = _read_rows(
-            path, delimiter, ("resource_id", "seq", "text"), make_parse, rejected
+        by_resource, rejected = _read_rows(
+            path, delimiter, ("resource_id", "seq", "text"), "text", parse
         )
     streams = []
     for resource_id in sorted(by_resource):

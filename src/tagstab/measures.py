@@ -47,17 +47,6 @@ class RboParams:
             )
 
 
-@dataclass(frozen=True)
-class RboTrajectory:
-    """Window-to-window RBO values of one stream at multiples of ``window``."""
-
-    resource_id: str
-    window: int
-    p: float
-    variant: str
-    points: tuple[tuple[int, float], ...]
-
-
 # _PLAIN_PREFIX[p] = (head, tail): head[n] + tail[n] is the sum over d <= n
 # of (1 - p) p^(d-1) / d, carried in two floats so that the difference of two
 # entries keeps full precision.  Grown on demand; an entry depends only on
@@ -228,21 +217,19 @@ def _check_two_windows(length: int, window: int) -> None:
 
 def rbo_trajectory(
     stream: TagStream, window: int = DEFAULT_WINDOW, params: RboParams | None = None
-) -> RboTrajectory:
+) -> tuple[tuple[int, float], ...]:
     """RBO between the stream's cumulative rankings ``window`` apart.
 
-    Produces a point at every t in {2*window, 3*window, ...} comparing the
-    ranking after t - window assignments with the ranking after t.
+    Returns a point (t, rbo) at every t in {2*window, 3*window, ...}
+    comparing the ranking after t - window assignments with the ranking
+    after t.
     """
     if params is None:
         params = RboParams()
     _check_window(window)
     _check_two_windows(len(stream), window)
     ts = range(2 * window, len(stream) + 1, window)
-    points = tuple(_window_rbos(stream, window, params, ts))
-    return RboTrajectory(
-        stream.resource_id, window, params.p, params.variant, points
-    )
+    return tuple(_window_rbos(stream, window, params, ts))
 
 
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:

@@ -224,17 +224,17 @@ def _zeta_far(s: float, q: float) -> float:
     return q ** -s * (q / (s - 1.0) + 0.5 + series / q)
 
 
-def _ks_distance(values: list[float], counts: list[int], alpha: float) -> float:
+def _ks_distance(values: list[float], at_or_above: list[int], alpha: float) -> float:
     """Max deviation between a tail's empirical distribution and the
     fitted discrete power law P(X >= x) = zeta(alpha, x) / zeta(alpha, xmin).
 
     ``values`` are the tail's distinct values, ascending, so xmin is the
-    first, and ``counts`` their multiplicities.  The supremum runs over the
-    integer support: besides every distinct tail value, the integer just
-    above each gap is checked, where the empirical survival function has
-    already stepped down but the model has not yet decayed.
+    first, and ``at_or_above[i]`` counts the tail's observations at or
+    above ``values[i]``.  The supremum runs over the integer support:
+    besides every distinct tail value, the integer just above each gap is
+    checked, where the empirical survival function has already stepped
+    down but the model has not yet decayed.
     """
-    at_or_above = _suffix_sums(counts)
     keys = list(map(int, values))
     # The integer just above a value that no gap follows is the next value,
     # already counted, so every value's successor can be checked.
@@ -280,11 +280,11 @@ def fit_power_law(sample: Sequence[float]) -> PowerLawFit:
         alpha = 1.0 + n_tail / (log_sums[j] - n_tail * math.log(value - 0.5))
         end = j + _PROBE
         if best is not None and end < len(values):
-            # The probe's last value stands for everything at or above it.
-            probe = _ks_distance(values[j:end], counts[j:end - 1] + [tail_sizes[end - 1]], alpha)
+            # The tail's first values, with the tail's own counts at or above them.
+            probe = _ks_distance(values[j:end], tail_sizes[j:end], alpha)
             if probe > best[2] + 1e-12:
                 continue
-        distance = _ks_distance(values[j:], counts[j:], alpha)
+        distance = _ks_distance(values[j:], tail_sizes[j:], alpha)
         if not math.isfinite(distance):
             continue
         if best is None or distance < best[2]:

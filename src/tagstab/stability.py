@@ -27,9 +27,6 @@ class StabilitySurface:
     t_grid: tuple[int, ...]
     k_grid: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]
-    p: float
-    window: int
-    variant: str
     n_streams: int
     n_eligible: tuple[int, ...]
 
@@ -135,9 +132,6 @@ def stability_surface(
         t_grid=t_grid,
         k_grid=k_grid,
         values=tuple(rows),
-        p=p,
-        window=window,
-        variant=variant,
         n_streams=len(corpus),
         n_eligible=tuple(eligible_counts),
     )

@@ -100,7 +100,7 @@ class TestIngestAgainstReference:
         for stream in streams:
             assert stream.tags == tuple(expected[stream.resource_id])
         lengths = [len(rows) for rows in expected.values()]
-        assert report.to_dict() == {
+        assert report == {
             "streams_loaded": len(expected),
             "assignments_loaded": sum(lengths),
             "rows_rejected": sum(rejected.values()),
@@ -128,7 +128,7 @@ class TestIngestAgainstReference:
         )
         streams, report = ingest_tag_log(path)
         assert streams[0].tags == ("kept",)
-        assert report.reject_reasons == {
+        assert report["reject_reasons"] == {
             "blank line": 1,
             "duplicate seq": 1,
             "empty resource_id": 1,
@@ -145,7 +145,7 @@ class TestIngestAgainstReference:
         )
         streams, report = ingest_tag_log(path)
         assert streams[0].tags == ("later",)
-        assert report.reject_reasons == {"empty tag": 2}
+        assert report["reject_reasons"] == {"empty tag": 2}
 
     def test_each_distinct_string_is_one_object(self, tmp_path):
         path = tmp_path / "log.tsv"
@@ -192,7 +192,7 @@ class TestColumns:
             add_user_column(first)
         streams, report = ingest_tag_log(first)
         assert streams == expected
-        assert report.rows_rejected == 0
+        assert report["rows_rejected"] == 0
         write_tag_log(streams, second)
         assert second.read_bytes() == written
 
@@ -221,6 +221,6 @@ def test_loaded_corpus_holds_no_object_per_assignment(tmp_path):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.assignments_loaded == 25_000
-    assert held / report.assignments_loaded <= 24
-    assert peak / report.assignments_loaded <= 96
+    assert report["assignments_loaded"] == 25_000
+    assert held / report["assignments_loaded"] <= 24
+    assert peak / report["assignments_loaded"] <= 96

@@ -116,7 +116,7 @@ def assert_same(value, expected):
 def test_rbo_trajectory_matches_dense_reference(corpus, snapshots, variant, p):
     params = RboParams(p, variant)
     for stream, expected in zip(corpus, reference_points(snapshots, params)):
-        points = rbo_trajectory(stream, WINDOW, params).points
+        points = rbo_trajectory(stream, WINDOW, params)
         assert [t for t, _ in points] == [t for t, _ in expected]
         for (_, value), (_, reference) in zip(points, expected):
             assert_same(value, reference)
@@ -178,7 +178,7 @@ def test_public_rbo_is_the_engines_rbo(corpus, snapshots, variant, p):
     # bit-equal, not only close.
     params = RboParams(p, variant)
     for stream, counts in zip(corpus, snapshots):
-        for t, value in rbo_trajectory(stream, WINDOW, params).points:
+        for t, value in rbo_trajectory(stream, WINDOW, params):
             assert rbo(counts[t - WINDOW], counts[t], params) == value
 
 def reference_kl(stream, window, top_k):

@@ -1,4 +1,5 @@
 import gc
+import json
 
 import pytest
 
@@ -14,6 +15,7 @@ from tagstab import (
     tokenize,
     write_tag_log,
 )
+from tagstab.cli import main
 
 
 # One row of each reject reason a text corpus can have, around a tokenless
@@ -47,8 +49,8 @@ class TestTagLog:
         streams, report = ingest_tag_log(log)
         (stream,) = streams
         assert stream.tags == ("first", "middle", "last")
-        assert report.streams_loaded == 1
-        assert report.assignments_loaded == 3
+        assert report["streams_loaded"] == 1
+        assert report["assignments_loaded"] == 3
 
     def test_duplicate_seq_keeps_first(self, tmp_path):
         log = write(
@@ -57,7 +59,7 @@ class TestTagLog:
         )
         streams, report = ingest_tag_log(log)
         assert streams[0].tags == ("kept",)
-        assert report.reject_reasons == {"duplicate seq": 1}
+        assert report["reject_reasons"] == {"duplicate seq": 1}
 
     def test_tags_are_normalized(self, tmp_path):
         log = write(tmp_path / "log.tsv", "resource_id\ttag\tseq\nr1\t  MiXeD \t1\n")
@@ -76,8 +78,8 @@ class TestTagLog:
         )
         streams, report = ingest_tag_log(log)
         assert streams[0].tags == ("ok",)
-        assert report.rows_rejected == 4
-        assert report.reject_reasons == {
+        assert report["rows_rejected"] == 4
+        assert report["reject_reasons"] == {
             "blank line": 1,
             "empty tag": 1,
             "field count mismatch": 1,
@@ -104,7 +106,7 @@ class TestTagLog:
         streams, report = ingest_tag_log(with_users)
         assert (streams, report) == ingest_tag_log(without)
         assert [s.tags for s in streams] == [("b", "a"), ("a",)]
-        assert report.reject_reasons == {
+        assert report["reject_reasons"] == {
             "duplicate seq": 1, "empty resource_id": 1, "empty tag": 1, "field count mismatch": 1,
         }
 
@@ -201,7 +203,7 @@ class TestTagLog:
         write_tag_log(streams, tmp_path / "log.csv", delimiter=",")
         reread, report = ingest_tag_log(tmp_path / "log.csv", delimiter=",")
         assert reread == streams
-        assert report.rows_rejected == 0
+        assert report["rows_rejected"] == 0
 
     def test_streams_sorted_by_resource(self, tmp_path):
         log = write(
@@ -250,8 +252,8 @@ class TestTagLog:
             ("r2", ("tag", "tag")),
         ]
         assert len({id(tag) for s in streams for tag in s.tags}) == 1
-        assert report.rows_rejected == 2
-        assert report.reject_reasons == {"empty tag": 2}
+        assert report["rows_rejected"] == 2
+        assert report["reject_reasons"] == {"empty tag": 2}
 
     def test_invalid_utf8_names_the_file(self, tmp_path):
         log = tmp_path / "bad.tsv"
@@ -266,11 +268,16 @@ class TestTagLog:
             "r1\ta\t1\nr1\tb\t2\nr1\tc\t3\nr2\ta\t1\n",
         )
         _, report = ingest_tag_log(log)
-        assert report.length_min == 1
-        assert report.length_max == 3
-        assert report.length_mean == 2.0
-        assert report.length_median == 2.0
-        assert report.to_dict()["stream_lengths"]["max"] == 3
+        assert report["stream_lengths"] == {"min": 1, "max": 3, "mean": 2.0, "median": 2.0}
+
+    def test_validate_prints_the_report(self, tmp_path, capsys):
+        log = write(
+            tmp_path / "log.tsv",
+            "resource_id\ttag\tseq\n"
+            "r1\ta\t1\nr1\tb\t1\nr2\ta\t1\nr2\t\t2\n\n",
+        )
+        assert main(["validate", str(log)]) == 0
+        assert json.loads(capsys.readouterr().out) == ingest_tag_log(log)[1]
 
     def test_simulated_log_round_trip_is_byte_identical(self, tmp_path):
         config = GeneratorConfig(
@@ -372,15 +379,25 @@ class TestTextCorpus:
     def test_rejected_rows_are_reported(self, tmp_path):
         corpus = write(tmp_path / "texts.tsv", BAD_TEXT_ROWS)
         _, report = ingest_text_corpus(corpus)
-        assert report.rows_rejected == 5
-        assert report.reject_reasons == {
+        assert report["rows_rejected"] == 5
+        assert report["reject_reasons"] == {
             "blank line": 1,
             "duplicate seq": 1,
             "empty resource_id": 1,
             "field count mismatch": 1,
             "invalid seq": 1,
         }
-        assert (report.streams_loaded, report.assignments_loaded) == (1, 2)
+        assert (report["streams_loaded"], report["assignments_loaded"]) == (1, 2)
+
+    def test_corpus_without_tokens_reports_zero_lengths(self, tmp_path):
+        corpus = write(tmp_path / "texts.tsv", "resource_id\tseq\ttext\nr1\t1\t...\n")
+        streams, report = ingest_text_corpus(corpus)
+        assert streams == ()
+        assert report["streams_loaded"] == 0
+        # json.dumps pins the types: integer extremes, float mean and median.
+        assert json.dumps(report["stream_lengths"]) == (
+            '{"min": 0, "max": 0, "mean": 0.0, "median": 0.0}'
+        )
 
 
 # Forms int() takes that are not a seq: an underscore, an Arabic-Indic
@@ -393,7 +410,7 @@ def test_tag_log_rejects_seq(tmp_path, seq):
     log = write(tmp_path / "log.tsv", f"resource_id\ttag\tseq\nr1\tkept\t1\nr1\tbad\t{seq}\n")
     (stream,), report = ingest_tag_log(log)
     assert stream.tags == ("kept",)
-    assert report.reject_reasons == {"invalid seq": 1}
+    assert report["reject_reasons"] == {"invalid seq": 1}
 
 
 @pytest.mark.parametrize("seq", NOT_A_SEQ)
@@ -401,7 +418,7 @@ def test_text_corpus_rejects_seq(tmp_path, seq):
     corpus = write(tmp_path / "texts.tsv", f"resource_id\tseq\ttext\nr1\t1\tkept\nr1\t{seq}\tbad\n")
     (stream,), report = ingest_text_corpus(corpus)
     assert stream.tags == ("kept",)
-    assert report.reject_reasons == {"invalid seq": 1}
+    assert report["reject_reasons"] == {"invalid seq": 1}
 
 
 @pytest.mark.parametrize(("read", "text"), [

@@ -265,9 +265,8 @@ class TestFitPowerLaw:
         alpha_at_true = 1.0 + n_tail / math.fsum(
             tail[v] * math.log(v / (5 - 0.5)) for v in values
         )
-        assert oracle_fit.ks_distance <= _ks_distance(
-            values, [tail[v] for v in values], alpha_at_true
-        ) + 0.01
+        at_or_above = list(accumulate(tail[v] for v in values[::-1]))[::-1]
+        assert oracle_fit.ks_distance <= _ks_distance(values, at_or_above, alpha_at_true) + 0.01
 
     def test_scan_equals_per_tail_reference(self, oracle_sample, oracle_fit):
         # The scan slices one count of the sample's distinct values; each
@@ -281,7 +280,8 @@ class TestFitPowerLaw:
             n_tail = sum(counts)
             log_sum = list(accumulate(c * math.log(v) for v, c in zip(values[::-1], counts[::-1])))[-1]
             alpha = 1.0 + n_tail / (log_sum - n_tail * math.log(xmin - 0.5))
-            distance = _ks_distance([float(v) for v in values], counts, alpha)
+            at_or_above = list(accumulate(counts[::-1]))[::-1]
+            distance = _ks_distance([float(v) for v in values], at_or_above, alpha)
             candidates.append((distance, xmin, n_tail))
         distance, xmin, n_tail = min(candidates)
         assert (oracle_fit.ks_distance, oracle_fit.xmin, oracle_fit.n_tail) == (
@@ -849,12 +849,11 @@ class TestSpecialFunctionsAgainstScipy:
         assert_close(got[x > 8], special.erfc(x[x > 8]), 1e-13)
 
 
-def scipy_ks_distance(values, counts, alpha):
+def scipy_ks_distance(values, at_or_above, alpha):
     """The KS distance with scipy's zeta evaluated at every value and gap
     point: the reference for ``_ks_distance``."""
-    values, counts = np.asarray(values), np.asarray(counts)
-    n = counts.sum()
-    at_least = (n - np.concatenate(([0], np.cumsum(counts)[:-1]))) / n
+    values, at_or_above = np.asarray(values), np.asarray(at_or_above)
+    at_least = at_or_above / at_or_above[0]
     norm = special.zeta(alpha, values[0])
     with np.errstate(invalid="ignore"):
         deviation = np.abs(special.zeta(alpha, values) / norm - at_least)

@@ -83,7 +83,7 @@ def test_written_log_reads_back_or_is_refused_untouched(tmp_path_factory, stream
     write_tag_log(streams, kept, delimiter)
     reread, report = ingest_tag_log(kept, delimiter)
     assert reread == tuple(sorted(streams, key=lambda s: s.resource_id))
-    assert report.rows_rejected == 0
+    assert report["rows_rejected"] == 0
 
 
 def naive_tag_log(streams, delimiter):
@@ -202,7 +202,7 @@ def test_rbo_trajectory_is_the_dense_rbo_at_every_checkpoint(drawn, variant, p):
     window, (tags,) = drawn
     stream = TagStream("r", tags)
     params = RboParams(p, variant)
-    points = rbo_trajectory(stream, window, params).points
+    points = rbo_trajectory(stream, window, params)
     checkpoints = range(2 * window, len(tags) + 1, window)
     assert [t for t, _ in points] == list(checkpoints)
     for t, value in points:

@@ -141,8 +141,8 @@ class TestRboTrajectory:
     def test_constant_stream_closed_form(self):
         stream = TagStream("r", ["x"] * 50)
         trajectory = rbo_trajectory(stream, 10, RboParams(0.9, "tie_corrected"))
-        assert [t for t, _ in trajectory.points] == [20, 30, 40, 50]
-        for _, value in trajectory.points:
+        assert [t for t, _ in trajectory] == [20, 30, 40, 50]
+        for _, value in trajectory:
             assert value == pytest.approx(1 - 0.9, abs=1e-12)
 
     def test_two_tag_hand_example(self):
@@ -150,17 +150,9 @@ class TestRboTrajectory:
         # contributes 2*1/(1+2), so the value is (1 - 0.9) * 2/3.
         stream = TagStream("r", ["a", "b"])
         trajectory = rbo_trajectory(stream, 1)
-        assert trajectory.points[0][0] == 2
-        assert trajectory.points[0][1] == pytest.approx(0.1 * 2 / 3, abs=1e-12)
+        assert trajectory[0][0] == 2
+        assert trajectory[0][1] == pytest.approx(0.1 * 2 / 3, abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             rbo_trajectory(TagStream("r", ["a"] * 19), 10)
-
-    def test_metadata(self):
-        stream = TagStream("r9", ["a", "b", "a", "b"])
-        trajectory = rbo_trajectory(stream, 2, RboParams(0.5, "tie_aware"))
-        assert trajectory.resource_id == "r9"
-        assert trajectory.window == 2
-        assert trajectory.p == 0.5
-        assert trajectory.variant == "tie_aware"
