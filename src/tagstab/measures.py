@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import InsufficientDataError, ParameterError
-from .streams import TagStream, _check_window, _checkpoints, _ranks_by_count, rank
+from .streams import _END, TagStream, _check_window, _checkpoints, _count_column, _rank_column
 
 VARIANTS = ("plain", "tie_aware", "tie_corrected")
 
@@ -47,75 +47,86 @@ class RboParams:
             )
 
 
-# _PLAIN_PREFIX[p] = (head, tail): head[n] + tail[n] is the sum over d <= n
-# of (1 - p) p^(d-1) / d, carried in two floats so that the difference of two
-# entries keeps full precision.  Grown on demand; an entry depends only on
-# (p, n), so sharing the tables between calls changes no result.
-_PLAIN_PREFIX: dict[float, tuple[list[float], list[float]]] = {}
+def _rbo_walk(params: RboParams):
+    """Return ``walk(earlier, later, counts, before)``: the truncated RBO of
+    two rank columns (``streams._rank_column``); ``counts`` maps each later
+    tag to its count and ``before`` some of them to their earlier count (0
+    if absent).
 
-
-def _plain_prefix(p: float, depth: int) -> tuple[list[float], list[float]]:
-    head, tail = _PLAIN_PREFIX.setdefault(p, ([0.0], [0.0]))
-    for d in range(len(head), depth + 1):
-        term = (1.0 - p) * p ** (d - 1) / d
-        total = head[-1] + term
-        # Knuth's two-sum: the exact rounding error of head[-1] + term.
-        back = total - term
-        error = (head[-1] - back) + (term - (total - back))
-        head.append(total)
-        tail.append(tail[-1] + error)
-    return head, tail
-
-
-def _bump(events: dict[int, list[int]], depth: int, size: int, overlap: int) -> None:
-    event = events.get(depth)
-    if event is None:
-        events[depth] = [size, overlap]
-    else:
-        event[0] += size
-        event[1] += overlap
-
-
-def _run_sum(events: dict[int, list[int]], params: RboParams) -> float:
-    """Truncated RBO from its step events.
-
-    ``events[d] = [size, overlap]`` says that at depth d the two prefixes
-    together grow by ``size`` tags and their intersection by ``overlap``.
-    Every rank value of either list is a key, and nothing changes between
-    keys, so the sum over depths 1..max rank is taken run by run: the
-    run [a, b] adds weight(a) * agreement for ``tie_corrected``,
-    (p^(a-1) - p^b) * agreement for ``tie_aware`` and
-    overlap * sum_{d=a..b} (1 - p) p^(d-1) / d for ``plain``.
+    One merge of both columns' depths, ascending: an earlier depth adds its
+    holders to the prefix sizes, a later one to the sizes and the overlap,
+    which is right for a tag whose count did not move, as counts only grow.
+    ``fixes`` moves each tag of ``before`` to where both prefixes hold it.
+    The run [d, e] up to the next depth then adds weight(d) * agreement
+    (``tie_corrected``), (p^(d-1) - p^e) * agreement (``tie_aware``) or
+    overlap * sum_{i=d..e} (1 - p) p^(i-1) / i (``plain``).  The tables of
+    p^k and of plain's prefix sums belong to the returned function.
     """
     p = params.p
-    depths = sorted(events)
-    ends = depths[1:]
-    ends.append(depths[-1] + 1)
-    size = overlap = 0
-    total = 0.0
-    if params.variant == "plain":
-        head, tail = _plain_prefix(p, depths[-1])
-        for a, stop in zip(depths, ends):
-            overlap += events[a][1]
-            run = (head[stop - 1] - head[a - 1]) + (tail[stop - 1] - tail[a - 1])
-            total += overlap * run
-    elif params.variant == "tie_aware":
-        head = 1.0  # p^0: depth 1 is the first key of every event set
-        for a, stop in zip(depths, ends):
-            grow, join = events[a]
-            size += grow
-            overlap += join
-            tail = p ** (stop - 1)
-            total += (head - tail) * (2.0 * overlap / size)
-            head = tail
-    else:
-        q = 1.0 - p
-        for a in depths:
-            grow, join = events[a]
-            size += grow
-            overlap += join
-            total += q * p ** (a - 1) * (2.0 * overlap / size)
-    return total
+    q = 1.0 - p
+    corrected = params.variant == "tie_corrected"
+    plain = params.variant == "plain"
+    pw = [1.0]  # pw[k] = p ** k
+    # head[n] + tail[n] = sum_{i<=n} (1 - p) p^(i-1) / i, in two floats so
+    # that the difference of two entries keeps full precision.
+    head, tail = [0.0], [0.0]
+
+    def walk(earlier, later, counts, before) -> float:
+        (ranks1, holders1, rank_then), (ranks2, holders2, rank_now) = earlier, later
+        fixes: dict[int, int] = {}
+        for tag, old in before.items():
+            reached = rank_now[counts[tag]]
+            fixes[reached] = fixes.get(reached, 0) - 1
+            if old:
+                joined = rank_then[old]
+                if joined < reached:  # max(), without the call
+                    joined = reached
+                fixes[joined] = fixes.get(joined, 0) + 1
+        deepest = max(ranks1[-2], ranks2[-2])
+        if plain:
+            for d in range(len(head), deepest + 1):
+                term = q * p ** (d - 1) / d
+                grown = head[-1] + term
+                # Knuth's two-sum: the exact rounding error of head[-1] + term.
+                back = grown - term
+                error = (head[-1] - back) + (term - (grown - back))
+                head.append(grown)
+                tail.append(tail[-1] + error)
+        elif len(pw) <= deepest:
+            pw.extend(p**k for k in range(len(pw), deepest + 1))
+        i = j = size = overlap = 0
+        a, b = ranks1[0], ranks2[0]
+        total = 0.0
+        while True:
+            if a <= b:
+                d = a
+                if d == _END:
+                    return total
+                size += holders1[i]
+                i += 1
+                a = ranks1[i]
+            else:
+                d = b
+            if b == d:
+                held = holders2[j]
+                size += held
+                overlap += held
+                j += 1
+                b = ranks2[j]
+            overlap += fixes.get(d, 0)
+            if corrected:
+                total += q * pw[d - 1] * (2.0 * overlap / size)
+                continue
+            stop = a if a < b else b
+            if stop == _END:
+                stop = d + 1
+            if plain:
+                run = (head[stop - 1] - head[d - 1]) + (tail[stop - 1] - tail[d - 1])
+                total += overlap * run
+            else:
+                total += (pw[d - 1] - pw[stop - 1]) * (2.0 * overlap / size)
+
+    return walk
 
 
 def rbo(
@@ -132,42 +143,9 @@ def rbo(
     """
     if params is None:
         params = RboParams()
-    events: dict[int, list[int]] = {}
-    ranks1 = {}
-    for tag, _, r in rank(counts1):
-        ranks1[tag] = r
-        _bump(events, r, 1, 0)
-    for tag, _, r in rank(counts2):
-        _bump(events, r, 1, 0)
-        r1 = ranks1.get(tag)
-        # A shared tag joins the intersection once both lists reach it.
-        if r1 is not None:
-            _bump(events, max(r, r1), 0, 1)
-    return _run_sum(events, params)
-
-
-def _window_events(then, now, counts: dict[str, int], before: dict[str, int]):
-    """Step events of the RBO between the ranking at the previous checkpoint
-    and the current one.
-
-    ``then`` and ``now`` are each a checkpoint's ``(histogram, ranks)``;
-    ``counts`` and ``before`` are the current state ``_checkpoints`` yields.
-    A tag the window did not touch has one count c in both rankings and
-    reaches both prefixes at the later ranking's rank of c, which is never
-    smaller than the earlier one; so every current tag is first booked that
-    way and the touched tags are then corrected one by one.
-    """
-    (earlier, rank_then), (histogram, rank_now) = then, now
-    # Within one ranking every count has its own rank.
-    events = {rank_then[count]: [holders, 0] for count, holders in earlier.items()}
-    for count, holders in histogram.items():
-        _bump(events, rank_now[count], holders, holders)
-    for tag, old in before.items():
-        reached = rank_now[counts[tag]]
-        events[reached][1] -= 1
-        if old:
-            events[max(reached, rank_then[old])][1] += 1
-    return events
+    earlier, later = _count_column(counts1), _count_column(counts2)
+    before = {tag: counts1.get(tag, 0) for tag in counts2}
+    return _rbo_walk(params)(earlier, later, counts2, before)
 
 
 def _window_rbos(stream: TagStream, window: int, params: RboParams, ts: Sequence[int]):
@@ -179,13 +157,14 @@ def _window_rbos(stream: TagStream, window: int, params: RboParams, ts: Sequence
     as the earlier ranking of the next one."""
     wanted = set(ts)
     last = max(wanted)
+    walk = _rbo_walk(params)
     now = None
     for t, counts, histogram, before in _checkpoints(stream.tags, window):
         then = now
         if t in wanted or t + window in wanted:
-            now = dict(histogram), _ranks_by_count(histogram)
+            now = _rank_column(histogram)
         if t in wanted:
-            yield t, _run_sum(_window_events(then, now, counts, before), params)
+            yield t, walk(then, now, counts, before)
         if t == last:
             return
 
@@ -200,7 +179,7 @@ def weight_of_prefix(p: float, depth: int) -> float:
         raise ParameterError(f"p must satisfy 0 < p < 1, got {p}")
     if depth < 1:
         raise ParameterError(f"depth must be >= 1, got {depth}")
-    partial = sum(p**i / i for i in range(1, depth))
+    partial = math.fsum(p**i / i for i in range(1, depth))
     return (
         1.0
         - p ** (depth - 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
@@ -58,14 +59,34 @@ def _by_count(counts: dict[str, int]) -> list[str]:
     return sorted(sorted(counts), key=counts.__getitem__, reverse=True)
 
 
-def _ranks_by_count(histogram: dict[int, int]) -> dict[int, int]:
-    """Competition rank of each count: 1 + the number of tags above it."""
-    ranks = {}
-    above = 0
+_END = sys.maxsize  # past every rank: ends each rank column
+
+
+def _rank_column(histogram: dict[int, int]):
+    """A ranking's counts in descending order, as ``(ranks, holders,
+    rank_of)``: the competition ranks (1 + the number of tags with a larger
+    count) ascending and then ``_END``, the number of tags at each rank,
+    and each count's rank."""
+    ranks, holders, rank_of = [], [], {}
+    rank = 1
     for count in sorted(histogram, reverse=True):
-        ranks[count] = above + 1
-        above += histogram[count]
-    return ranks
+        held = histogram[count]
+        ranks.append(rank)
+        holders.append(held)
+        rank_of[count] = rank
+        rank += held
+    ranks.append(_END)
+    return ranks, holders, rank_of
+
+
+def _count_column(counts: dict[str, int]):
+    """The rank column of a tag-count mapping, checked as ``rank`` says."""
+    if not counts:
+        raise EmptyInputError("cannot rank an empty count mapping")
+    for tag, count in counts.items():
+        if not count >= 1:  # NaN fails too
+            raise ParameterError(f"count for {tag!r} must be >= 1, got {count}")
+    return _rank_column(Counter(counts.values()))
 
 
 def rank(counts: dict[str, int]) -> tuple[RankEntry, ...]:
@@ -76,14 +97,9 @@ def rank(counts: dict[str, int]) -> tuple[RankEntry, ...]:
     counts are listed in ascending tag order; rank values alone carry
     meaning.
     """
-    if not counts:
-        raise EmptyInputError("cannot rank an empty count mapping")
-    for tag, count in counts.items():
-        if not count >= 1:  # NaN fails too
-            raise ParameterError(f"count for {tag!r} must be >= 1, got {count}")
-    ranks = _ranks_by_count(Counter(counts.values()))
+    _, _, rank_of = _count_column(counts)
     return tuple(
-        RankEntry(tag, counts[tag], ranks[counts[tag]]) for tag in _by_count(counts)
+        RankEntry(tag, counts[tag], rank_of[counts[tag]]) for tag in _by_count(counts)
     )
 
 

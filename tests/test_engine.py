@@ -3,6 +3,8 @@
 The references are the computations the engine replaced: rank every tag at
 every checkpoint and sum the RBO densely over every depth with ``np.dot``;
 count with ``Counter`` and sort for the KL and proportion trajectories.
+The RBO sum is also held bit for bit to the step-events form that the
+merge walk of two rank columns replaced.
 """
 
 from collections import Counter
@@ -27,6 +29,7 @@ from tagstab import (
     window_rbo,
 )
 from tagstab.measures import _kl_points
+from tagstab.streams import _checkpoints
 
 VARIANTS = ("plain", "tie_aware", "tie_corrected")
 PS = (0.0, 0.5, 0.9)
@@ -62,6 +65,117 @@ def dense_rbo(counts1, counts2, params):
         idx = np.asarray(occurring, dtype=int) - 1
         return float(np.dot(weights[idx], agreement[idx]))
     return float(np.dot(weights, agreement))
+
+
+# The step-events sum that the merge walk replaced, kept as its oracle.
+def ranks_by_count(histogram):
+    """Competition rank of each count: 1 + the number of tags above it."""
+    ranks = {}
+    above = 0
+    for count in sorted(histogram, reverse=True):
+        ranks[count] = above + 1
+        above += histogram[count]
+    return ranks
+
+
+def bump(events, depth, size, overlap):
+    event = events.get(depth)
+    if event is None:
+        events[depth] = [size, overlap]
+    else:
+        event[0] += size
+        event[1] += overlap
+
+
+def plain_prefix(p, depth):
+    """head[n] + tail[n] is the sum over d <= n of (1 - p) p^(d-1) / d."""
+    head, tail = [0.0], [0.0]
+    for d in range(1, depth + 1):
+        term = (1.0 - p) * p ** (d - 1) / d
+        total = head[-1] + term
+        back = total - term
+        error = (head[-1] - back) + (term - (total - back))
+        head.append(total)
+        tail.append(tail[-1] + error)
+    return head, tail
+
+
+def run_sum(events, params):
+    """Truncated RBO from its step events: ``events[d] = [size, overlap]``
+    says that at depth d the two prefixes together grow by ``size`` tags and
+    their intersection by ``overlap``; the sum is taken over the runs
+    between consecutive keys."""
+    p = params.p
+    depths = sorted(events)
+    ends = depths[1:]
+    ends.append(depths[-1] + 1)
+    size = overlap = 0
+    total = 0.0
+    if params.variant == "plain":
+        head, tail = plain_prefix(p, depths[-1])
+        for a, stop in zip(depths, ends):
+            overlap += events[a][1]
+            run = (head[stop - 1] - head[a - 1]) + (tail[stop - 1] - tail[a - 1])
+            total += overlap * run
+    elif params.variant == "tie_aware":
+        head = 1.0
+        for a, stop in zip(depths, ends):
+            grow, join = events[a]
+            size += grow
+            overlap += join
+            tail = p ** (stop - 1)
+            total += (head - tail) * (2.0 * overlap / size)
+            head = tail
+    else:
+        q = 1.0 - p
+        for a in depths:
+            grow, join = events[a]
+            size += grow
+            overlap += join
+            total += q * p ** (a - 1) * (2.0 * overlap / size)
+    return total
+
+
+def events_rbo(counts1, counts2, params):
+    """``rbo`` by step events of both rankings."""
+    events = {}
+    ranks1 = {}
+    for tag, _, r in rank(counts1):
+        ranks1[tag] = r
+        bump(events, r, 1, 0)
+    for tag, _, r in rank(counts2):
+        bump(events, r, 1, 0)
+        r1 = ranks1.get(tag)
+        if r1 is not None:
+            bump(events, max(r, r1), 0, 1)
+    return run_sum(events, params)
+
+
+def window_events(then, now, counts, before):
+    """Step events between consecutive checkpoints, each a
+    ``(histogram, ranks)`` pair: every current tag is booked at its later
+    rank and the window's tags are corrected one by one."""
+    (earlier, rank_then), (histogram, rank_now) = then, now
+    events = {rank_then[count]: [holders, 0] for count, holders in earlier.items()}
+    for count, holders in histogram.items():
+        bump(events, rank_now[count], holders, holders)
+    for tag, old in before.items():
+        reached = rank_now[counts[tag]]
+        events[reached][1] -= 1
+        if old:
+            events[max(reached, rank_then[old])][1] += 1
+    return events
+
+
+def events_trajectory(stream, window, params):
+    """``rbo_trajectory`` by step events."""
+    points = []
+    now = None
+    for t, counts, histogram, before in _checkpoints(stream.tags, window):
+        then, now = now, (dict(histogram), ranks_by_count(histogram))
+        if then is not None:
+            points.append((t, run_sum(window_events(then, now, counts, before), params)))
+    return points
 
 
 CONFIGS = (
@@ -117,6 +231,7 @@ def test_rbo_trajectory_matches_dense_reference(corpus, snapshots, variant, p):
     params = RboParams(p, variant)
     for stream, expected in zip(corpus, reference_points(snapshots, params)):
         points = rbo_trajectory(stream, WINDOW, params)
+        assert list(points) == events_trajectory(stream, WINDOW, params)
         assert [t for t, _ in points] == [t for t, _ in expected]
         for (_, value), (_, reference) in zip(points, expected):
             assert_same(value, reference)
@@ -168,18 +283,20 @@ def test_rbo_of_unrelated_rankings_matches_dense_reference(variant, p):
         l2 = {f"t{t}": int(c) for t, c in zip(tags2, rng.integers(1, 6, size2))}
         assert_same(rbo(l1, l2, params), dense_rbo(l1, l2, params))
         assert_same(rbo(l2, l1, params), dense_rbo(l2, l1, params))
+        assert rbo(l1, l2, params) == events_rbo(l1, l2, params)
 
 
 
 @pytest.mark.parametrize("p", PS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_public_rbo_is_the_engines_rbo(corpus, snapshots, variant, p):
-    # Both paths hand _run_sum the same step events, so every value is
-    # bit-equal, not only close.
+    # Both paths sum by the same walk over the same depths, so every value
+    # is bit-equal, not only close.
     params = RboParams(p, variant)
     for stream, counts in zip(corpus, snapshots):
         for t, value in rbo_trajectory(stream, WINDOW, params):
             assert rbo(counts[t - WINDOW], counts[t], params) == value
+
 
 def reference_kl(stream, window, top_k):
     tops = {}

@@ -6,6 +6,7 @@ the same inputs.
 
 import contextlib
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from tagstab import (
     TagStream,
     ingest_tag_log,
     kl_topk_trajectory,
+    rbo,
     rbo_trajectory,
     snapshot,
     stability_surface,
@@ -23,7 +25,7 @@ from tagstab import (
     write_tag_log,
 )
 from tagstab.cli import main
-from test_engine import VARIANTS, dense_rbo, reference_kl
+from test_engine import VARIANTS, dense_rbo, events_rbo, events_trajectory, reference_kl
 
 CLEAN_IDS = ("r1", "r2", "R3", "r 4", "ü")
 CLEAN_TAGS = ("a", "b", "c d", "ü", "1")
@@ -180,18 +182,19 @@ def test_any_log_exits_zero_or_two_and_two_writes_nothing(tmp_path_factory, log)
 
 # The checkpoint engine against its references, on columns drawn over a
 # 7-tag alphabet: small alphabets give the long tied groups that generator
-# corpora rarely reach.
+# corpora rarely reach.  Over 500 tags nearly every tag is seen once.
 ALPHABET = "abcdefg"
+WIDE_ALPHABET = tuple(f"t{i}" for i in range(500))
 RBO_PS = (0.0, 0.3, 0.9, 0.999)
 
 
 @st.composite
-def windowed_columns(draw, count=1):
+def windowed_columns(draw, count=1, alphabet=ALPHABET):
     """A window of 1 to 7 and ``count`` tag columns of at most 60 tags, the
     first at least two windows long."""
     window = draw(st.integers(1, 7))
-    first = draw(st.lists(st.sampled_from(ALPHABET), min_size=2 * window, max_size=60))
-    others = [draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=60))
+    first = draw(st.lists(st.sampled_from(alphabet), min_size=2 * window, max_size=60))
+    others = [draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=60))
               for _ in range(count - 1)]
     return window, [first, *others]
 
@@ -242,3 +245,33 @@ def test_surface_counts_window_rbo_per_stream(drawn, variant, p, data):
     for t, row in zip(t_grid, surface.values):
         values = per_t[t]
         assert row == tuple(sum(v > k for v in values) / len(values) for k in k_grid)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    drawn=st.one_of(windowed_columns(count=3), windowed_columns(count=3, alphabet=WIDE_ALPHABET)),
+    variant=st.sampled_from(VARIANTS),
+    p=st.sampled_from(RBO_PS),
+    data=st.data(),
+)
+def test_merge_walk_is_the_step_events_sum_bit_for_bit(drawn, variant, p, data):
+    window, columns = drawn
+    params = RboParams(p, variant)
+    streams = [TagStream(f"r{i}", tags) for i, tags in enumerate(columns)]
+    expected = {s.resource_id: dict(events_trajectory(s, window, params)) for s in streams}
+    points = rbo_trajectory(streams[0], window, params)
+    assert points == tuple(expected["r0"].items())
+    t, value = data.draw(st.sampled_from(points))
+    assert window_rbo(streams[0], t, p, window, variant) == value
+    t_grid = sorted(data.draw(st.sets(st.sampled_from(list(expected["r0"])), min_size=1, max_size=4)))
+    per_t = {t: [expected[s.resource_id][t] for s in streams if len(s) >= t] for t in t_grid}
+    values = sorted({v for vs in per_t.values() for v in vs if 0.0 <= v <= 1.0})
+    k_grid = sorted(data.draw(st.sets(st.sampled_from([0.0, *values, 1.0]), min_size=1, max_size=4)))
+    surface = stability_surface(streams, t_grid, k_grid, p, window, variant)
+    assert surface.values == tuple(
+        tuple(sum(v > k for v in per_t[t]) / len(per_t[t]) for k in k_grid) for t in t_grid
+    )
+    # Rankings that are not one stream's prefixes: tags come and go.
+    counts1, counts2 = Counter(columns[1]), Counter(columns[2])
+    assert rbo(counts1, counts2, params) == events_rbo(counts1, counts2, params)
+    assert rbo(counts2, counts1, params) == events_rbo(counts2, counts1, params)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -129,6 +130,11 @@ class TestWeightOfPrefix:
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(1.0, abs=1e-6)
 
+    def test_sum_is_exactly_rounded(self):
+        # math.fsum: the built-in sum of the same terms gives
+        # 0.9990059022963087 before Python 3.12 and this value from 3.12.
+        assert weight_of_prefix(0.999, 5000) == 0.9990059022963664
+
     def test_domain(self):
         for bad in (0.0, 1.0, 1.5):
             with pytest.raises(ParameterError):
@@ -156,3 +162,24 @@ class TestRboTrajectory:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             rbo_trajectory(TagStream("r", ["a"] * 19), 10)
+
+
+def test_no_weight_table_outlives_its_call():
+    # 300 tags of count 2 above one of count 1: plain's prefix sums reach
+    # depth 301, so a table kept per p would hold about 19 KB.
+    counts = {**{f"t{i}": 2 for i in range(300)}, "x": 1}
+    tags = [*counts, *list(counts)[:300]]
+    stream = TagStream("r", tags)
+    window = len(tags) // 2
+    rbo(counts, counts, RboParams(0.5, "plain"))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(200):
+            params = RboParams(0.001 + i / 201, "plain")
+            rbo(counts, counts, params)
+            rbo_trajectory(stream, window, params)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
